@@ -4,7 +4,9 @@
 # the repo root — the checked-in perf trajectory for the SSSP hot path.
 #
 # Usage: scripts/bench_baseline.sh [build-dir] [--quick]
-#   build-dir  defaults to build-bench (kept separate from the dev build)
+#   build-dir  defaults to build-figs (kept separate from the dev build and
+#              from build-bench/, which e2ebench/run_benchmark.py owns and
+#              wipes when it finds another configuration there)
 #   --quick    CI smoke mode: fewer graphs, smaller spmspv instance
 #
 # ---------------------------------------------------------------------------
@@ -30,8 +32,9 @@
 #                  columns; the paper's abstraction-penalty table).  This is
 #                  the end-to-end regression reference: a PR touching the
 #                  operations layer must keep these faster-or-equal.
-#   delta_sweep    bench_delta_sweep: per-graph milliseconds across the Δ
-#                  ablation grid, plus the auto-Δ row.
+#   delta_sweep    bench_delta_sweep: milliseconds across the Δ ablation
+#                  grid plus the auto-Δ row, as one table (list of rows)
+#                  per graph, in the bench's suite order.
 #   spmspv         bench_spmspv table 1: sparse-frontier vxm, workspace
 #                  reuse vs per-call reset (cold_ms / reused_ms / speedup
 #                  per frontier size; CI gate >= 5x at frontier=16).
@@ -86,7 +89,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD_DIR="build-bench"
+BUILD_DIR="build-figs"
 QUICK=0
 for arg in "$@"; do
   case "$arg" in
@@ -165,7 +168,8 @@ def read_table(path):
 def read_tables(path):
     """Multi-table CSV: a known header first-cell after data rows starts a
     new table (bench_solver_batch emits throughput + amortization +
-    representation + serving; bench_spmspv emits vxm + pointwise)."""
+    representation + serving; bench_spmspv emits vxm + pointwise;
+    bench_delta_sweep emits one table per graph)."""
     tables, header, rows = [], None, []
     with open(path) as f:
         for line in f:
@@ -175,7 +179,8 @@ def read_tables(path):
             cells = next(csv.reader([line]))
             if header is None:
                 header = cells
-            elif cells[0] in ("graph", "metric", "op", "frontier", "leg"):
+            elif cells[0] in ("graph", "metric", "op", "frontier", "leg",
+                              "delta"):
                 tables.append((header, rows))
                 header, rows = cells, []
             else:
@@ -210,7 +215,7 @@ doc = {
         "nproc": os.cpu_count(),
     },
     "fig3_fusion": read_table(os.path.join(out_dir, "fig3.csv")),
-    "delta_sweep": read_table(os.path.join(out_dir, "sweep.csv")),
+    "delta_sweep": read_tables(os.path.join(out_dir, "sweep.csv")),
     # Sparse-frontier vxm workspace reuse, plus the point-wise ops measured
     # with the vector pinned sparse vs pinned dense (see scripts header for
     # the full schema description).
@@ -234,6 +239,24 @@ doc = {
     # self-relative speedups per thread count.
     "async_scaling": read_table(os.path.join(out_dir, "fig4.csv")),
 }
+def check_no_header_rows(doc):
+    """A row equal to its own header is a later table's header read in as
+    data — the symptom of a multi-table CSV parsed with read_table."""
+    def tables(value):
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            for t in value:
+                yield from tables(t)
+        elif isinstance(value, list):
+            yield value
+    bad = [(key, row) for key, value in doc.items() for t in tables(value)
+           for row in t if isinstance(row, dict) and
+           all(k == v for k, v in row.items())]
+    for key, row in bad:
+        print(f"{key}: header row read as data: {row}", file=sys.stderr)
+    if bad:
+        sys.exit(1)
+
+check_no_header_rows(doc)
 with open("BENCH_sssp.json", "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")

@@ -230,6 +230,12 @@ class Context {
   /// bench_solver_batch "representation off" leg with it.
   std::size_t dense_writes = 0;
 
+  /// Instrumentation: number of point-wise vector ops (apply / select /
+  /// ewise_add / ewise_mult) that ran the mask-driven kernel, i.e. iterated
+  /// a sparse mask's entries instead of walking the inputs (see
+  /// try_mask_driven in mask.hpp).  Observed, never read by a kernel.
+  std::size_t mask_driven_calls = 0;
+
   /// Applies the density policy to `v` (any type with size/density/
   /// is_dense/to_dense/to_sparse — templated to keep this header free of a
   /// vector.hpp include).

@@ -13,7 +13,9 @@
 // test.  `NoMask` means "all positions writable" (complement: none).
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -70,6 +72,26 @@ class VectorMaskProbe {
 
   bool operator()(Index i) const {
     return complement_ ? !raw(i) : raw(i);
+  }
+
+  /// The mask-driven dispatch rule: a plain (non-complemented) sparse mask
+  /// that binary-searches per probe, and stores fewer entries than the
+  /// `walk` input entries the input-driven kernel would visit, is cheaper
+  /// to iterate than to probe.
+  bool drives(Index walk) const {
+    return mode_ == Mode::kSearch && !complement_ && mask_->nvals() < walk;
+  }
+
+  /// Invokes f(i) at every writable position, ascending: the mask's stored
+  /// entries, minus the stored-falsy ones under a value mask.  Only valid
+  /// when drives() holds (sparse storage, no complement).
+  template <typename F>
+  void for_each_writable(F&& f) const {
+    auto mi = mask_->indices();
+    auto mv = mask_->values();
+    for (std::size_t k = 0; k < mi.size(); ++k) {
+      if (structural_ || mv[k] != storage_of_t<MaskT>(MaskT(0))) f(mi[k]);
+    }
   }
 
   /// Bulk probe: a 64-lane writability word for bitmap word `wd`, correct
@@ -259,13 +281,29 @@ void masked_write_vector(Context& ctx, Vector<W>& w, const Vector<Z>& z,
   auto& out_val = scratch.val;
   out_ind.clear();
   out_val.clear();
-  out_ind.reserve(w.nvals() + z.nvals());
-  out_val.reserve(w.nvals() + z.nvals());
-
-  auto wi = w.indices();
-  auto wv = w.values();
   auto zi = z.indices();
   auto zv = z.values();
+
+  if constexpr (is_no_accum_v<Accum>) {
+    // Replace-mode write of a prefiltered z: positions outside the mask are
+    // deleted, positions inside take z's entry or absence, so the old w
+    // cannot reach the output — install z without touching w's entries
+    // (for a dense w that skips a mirror build and a probe per old entry).
+    // The cast still normalizes values when W != Z (bool vs uchar).
+    if (replace && z_prefiltered) {
+      out_ind.assign(zi.begin(), zi.end());
+      out_val.reserve(zv.size());
+      for (const auto& x : zv) out_val.push_back(static_cast<W>(x));
+      w.swap_storage(out_ind, out_val);
+      ctx.manage_representation(w);
+      return;
+    }
+  }
+
+  out_ind.reserve(w.nvals() + z.nvals());
+  out_val.reserve(w.nvals() + z.nvals());
+  auto wi = w.indices();
+  auto wv = w.values();
   std::size_t a = 0, b = 0;
   while (a < wi.size() || b < zi.size()) {
     bool in_w = false, in_z = false;
@@ -313,26 +351,25 @@ void masked_write_vector(Context& ctx, Vector<W>& w, const Vector<Z>& z,
   ctx.manage_representation(w);
 }
 
-/// Rvalue overload: when there is no mask and no accumulator, every
-/// position is writable and takes z's entry (or absence), so the merge is
-/// the identity map — steal z's storage instead of copying it.  This is
-/// the shape of most calls on the delta-stepping hot path (unmasked
-/// replace-mode vxm / eWiseAdd / apply).
+/// Rvalue overload: when there is no accumulator and either there is no
+/// mask (every position writable) or z is prefiltered under replace (see
+/// the const overload), the output is exactly z — steal z's storage
+/// instead of copying it.  This is the shape of most calls on the
+/// delta-stepping hot path (unmasked replace-mode vxm / eWiseAdd / apply,
+/// masked replace-mode apply).
 template <typename W, typename Z, typename Probe, typename Accum>
 void masked_write_vector(Context& ctx, Vector<W>& w, Vector<Z>&& z,
                          const Probe& probe, const Accum& accum, bool replace,
                          bool z_prefiltered = false) {
-  if constexpr (std::is_same_v<W, Z> &&
-                std::is_same_v<Probe, AlwaysTrueProbe> &&
-                is_no_accum_v<Accum>) {
-    (void)probe;
-    (void)replace;
-    (void)z_prefiltered;
-    w = std::move(z);
-    ctx.manage_representation(w);
-  } else {
-    masked_write_vector(ctx, w, z, probe, accum, replace, z_prefiltered);
+  if constexpr (std::is_same_v<W, Z> && is_no_accum_v<Accum>) {
+    if (std::is_same_v<Probe, AlwaysTrueProbe> ||
+        (replace && z_prefiltered)) {
+      w = std::move(z);
+      ctx.manage_representation(w);
+      return;
+    }
   }
+  masked_write_vector(ctx, w, z, probe, accum, replace, z_prefiltered);
 }
 
 /// Dense-result write phase: performs `w<probe> accum= z` where z is a
@@ -483,6 +520,87 @@ template <typename W, typename Z, typename Mask, typename Accum>
 void write_vector_result(Vector<W>& w, const Vector<Z>& z, const Mask& mask,
                          const Accum& accum, const Descriptor& desc) {
   write_vector_result(default_context(), w, z, mask, accum, desc);
+}
+
+// ---------------------------------------------------------------------------
+// Mask-driven kernels.
+// ---------------------------------------------------------------------------
+
+/// Reads one input operand at ascending positions: an O(1) bitmap test
+/// when the operand is dense, a forward merge cursor when it is sparse.
+/// The cursor gallops (doubling steps, then a binary search inside the
+/// last step), so a visit costs O(log gap) rather than O(gap) when the
+/// positions are far apart in the operand's entry list.
+template <typename U>
+class AscendingReader {
+ public:
+  explicit AscendingReader(const Vector<U>& u) : dense_(u.is_dense()) {
+    if (dense_) {
+      bit_ = u.dense_bitmap().data();
+      val_ = u.dense_values().data();
+    } else {
+      ind_ = u.indices();
+      val_ = u.values().data();
+    }
+  }
+
+  /// The stored value at i, or nullptr when i is absent.  Successive calls
+  /// must pass strictly increasing positions.
+  const storage_of_t<U>* find(Index i) {
+    if (dense_) return bitmap_test(bit_, i) ? val_ + i : nullptr;
+    const std::size_t n = ind_.size();
+    if (k_ < n && ind_[k_] < i) {
+      std::size_t step = 1;
+      std::size_t hi = k_ + 1;
+      while (hi < n && ind_[hi] < i) {
+        k_ = hi;
+        step *= 2;
+        hi = k_ + step;
+      }
+      const auto first = ind_.begin() + static_cast<std::ptrdiff_t>(k_ + 1);
+      const auto last =
+          ind_.begin() + static_cast<std::ptrdiff_t>(std::min(hi, n));
+      k_ = static_cast<std::size_t>(std::lower_bound(first, last, i) -
+                                    ind_.begin());
+    }
+    return k_ < n && ind_[k_] == i ? val_ + k_ : nullptr;
+  }
+
+ private:
+  bool dense_;
+  const BitmapWord* bit_ = nullptr;
+  std::span<const Index> ind_;
+  const storage_of_t<U>* val_ = nullptr;
+  std::size_t k_ = 0;
+};
+
+/// Point-wise vector ops (apply / select / ewise_add / ewise_mult) call
+/// this first.  When the probe's dispatch rule holds against `walk` — the
+/// stored entries the input-driven kernel would visit — it computes z by
+/// visiting only the mask's writable positions, where `emit(i, zi, zv)`
+/// reads the inputs (through AscendingReader) and appends the entry at i,
+/// if any.  z is sparse and prefiltered, then goes through the ordinary
+/// write phase.  Returns false, doing nothing, when the input-driven
+/// kernel should run instead.
+template <typename Z, typename W, typename Probe, typename Accum,
+          typename Emit>
+bool try_mask_driven(Context& ctx, Vector<W>& w, const Probe& probe,
+                     const Accum& accum, bool replace, Index walk,
+                     Emit&& emit) {
+  // NoMask resolves to the constant probes, which never drive.
+  if constexpr (requires { probe.drives(walk); }) {
+    if (!probe.drives(walk)) return false;
+    ++ctx.mask_driven_calls;
+    Vector<Z> z(w.size());
+    auto& zi = z.mutable_indices();
+    auto& zv = z.mutable_values();
+    probe.for_each_writable([&](Index i) { emit(i, zi, zv); });
+    masked_write_vector(ctx, w, std::move(z), probe, accum, replace,
+                        /*z_prefiltered=*/true);
+    return true;
+  } else {
+    return false;
+  }
 }
 
 // ---------------------------------------------------------------------------

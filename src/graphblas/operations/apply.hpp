@@ -83,9 +83,10 @@ void apply_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
 /// Applies `op` to every stored element of `u`; absent elements stay absent.
 /// Mask/accum/descriptor behave per the standard write rule (see mask.hpp);
 /// the mask probe is pushed down so `op` never runs at non-writable
-/// positions.  A dense-representation input takes the positional bitmap
-/// kernel (detail::apply_vector_dense); results are bit-identical either
-/// way.
+/// positions.  A sparse mask holding fewer entries than u drives the
+/// kernel instead (detail::try_mask_driven); otherwise a dense-
+/// representation input takes the positional bitmap kernel
+/// (detail::apply_vector_dense).  Results are bit-identical either way.
 template <typename W, typename Mask, typename Accum, typename UnaryOp,
           typename U>
 void apply(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
@@ -95,6 +96,17 @@ void apply(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
 
   using Z = decltype(op(std::declval<U>()));
   detail::with_vector_probe(mask, desc, w.size(), [&](const auto& probe) {
+    detail::AscendingReader<U> ur(u);
+    auto emit = [&](Index i, auto& zi, auto& zv) {
+      if (const auto* x = ur.find(i)) {
+        zi.push_back(i);
+        zv.push_back(static_cast<storage_of_t<Z>>(op(static_cast<U>(*x))));
+      }
+    };
+    if (detail::try_mask_driven<Z>(ctx, w, probe, accum, desc.replace,
+                                   u.nvals(), emit)) {
+      return;
+    }
     if (u.is_dense()) {
       // Output structure is u ∧ mask, so when the estimated output density
       // falls below the crossover the compacted kernel replaces the dense

@@ -230,7 +230,9 @@ Index ewise_add_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
 
 /// w<mask> accum= u (+op) v  — union (eWiseAdd) on vectors, using `ctx`'s
 /// workspaces.  The mask probe is pushed down into the merge: positions the
-/// mask makes non-writable are never combined or staged.  Dense-
+/// mask makes non-writable are never combined or staged.  A sparse mask
+/// holding fewer entries than the merge would walk (nvals(u) + nvals(v))
+/// drives the kernel instead (detail::try_mask_driven).  Dense-
 /// representation operands take positional bitmap kernels; when w aliases u
 /// and u is dense (the relaxation `t = min(t, tReq)`), the update happens
 /// in place at O(nnz(v)).  Results are bit-identical across
@@ -256,6 +258,26 @@ void ewise_add(Context& ctx, Vector<W>& w, const Mask& mask,
         ++ctx.dense_writes;  // w stays dense: count it like a dense write
         return;
       }
+    }
+    detail::AscendingReader<U> ur(u);
+    detail::AscendingReader<V> vr(v);
+    auto emit = [&](Index i, auto& zi, auto& zv) {
+      const auto* x = ur.find(i);
+      const auto* y = vr.find(i);
+      if (x != nullptr && y != nullptr) {
+        zi.push_back(i);
+        zv.push_back(static_cast<Z>(op(*x, *y)));
+      } else if (x != nullptr) {
+        zi.push_back(i);
+        zv.push_back(static_cast<Z>(*x));  // lone operand passes through
+      } else if (y != nullptr) {
+        zi.push_back(i);
+        zv.push_back(static_cast<Z>(*y));
+      }
+    };
+    if (detail::try_mask_driven<Z>(ctx, w, probe, accum, desc.replace,
+                                   u.nvals() + v.nvals(), emit)) {
+      return;
     }
     if (u.is_dense() || v.is_dense()) {
       auto& stage = ctx.get<detail::DenseKernelStage<Z>>();
@@ -453,11 +475,13 @@ Index ewise_mult_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
 }  // namespace detail
 
 /// w<mask> accum= u (.op) v  — intersection (eWiseMult) on vectors, using
-/// `ctx`'s workspaces, with the mask pushed down into the merge.  Both
-/// operands dense: positional bitmap-AND kernel.  Exactly one dense: the
-/// sparse side is walked and the dense side probed O(1) per entry, so the
-/// intersection costs O(nnz(sparse side)) — no merge over the dense
-/// operand at all.  Results are bit-identical across representations.
+/// `ctx`'s workspaces, with the mask pushed down into the merge.  A sparse
+/// mask holding fewer entries than the kernels below would walk drives the
+/// kernel instead (detail::try_mask_driven).  Both operands dense:
+/// positional bitmap-AND kernel.  Exactly one dense: the sparse side is
+/// walked and the dense side probed O(1) per entry, so the intersection
+/// costs O(nnz(sparse side)) — no merge over the dense operand at all.
+/// Results are bit-identical across representations.
 template <typename W, typename Mask, typename Accum, typename BinaryOp,
           typename U, typename V>
 void ewise_mult(Context& ctx, Vector<W>& w, const Mask& mask,
@@ -468,6 +492,26 @@ void ewise_mult(Context& ctx, Vector<W>& w, const Mask& mask,
 
   using Z = decltype(op(std::declval<U>(), std::declval<V>()));
   detail::with_vector_probe(mask, desc, w.size(), [&](const auto& probe) {
+    // The input-driven kernels walk the sparse side against a dense one,
+    // both streams otherwise.
+    Index walk = u.nvals() + v.nvals();
+    if (u.is_dense() != v.is_dense()) {
+      walk = u.is_dense() ? v.nvals() : u.nvals();
+    }
+    detail::AscendingReader<U> ur(u);
+    detail::AscendingReader<V> vr(v);
+    auto emit = [&](Index i, auto& zi, auto& zv) {
+      const auto* x = ur.find(i);
+      const auto* y = vr.find(i);
+      if (x != nullptr && y != nullptr) {
+        zi.push_back(i);
+        zv.push_back(op(*x, *y));
+      }
+    };
+    if (detail::try_mask_driven<Z>(ctx, w, probe, accum, desc.replace, walk,
+                                   emit)) {
+      return;
+    }
     if (u.is_dense() && v.is_dense()) {
       auto& stage = ctx.get<detail::DenseKernelStage<Z>>();
       stage.reset(u.size());

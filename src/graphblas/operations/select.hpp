@@ -81,9 +81,10 @@ void select_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
 
 /// w<mask> accum= select(pred, u):  w keeps u's entries where
 /// pred(value, index) holds.  Uses `ctx`'s workspaces; the mask probe is
-/// pushed down so masked-out entries are never tested or staged.  A dense-
-/// representation input takes the positional bitmap kernel; results are
-/// bit-identical either way.
+/// pushed down so masked-out entries are never tested or staged.  A sparse
+/// mask holding fewer entries than u drives the kernel instead
+/// (detail::try_mask_driven); otherwise a dense-representation input takes
+/// the positional bitmap kernel.  Results are bit-identical either way.
 template <typename W, typename Mask, typename Accum, typename Pred,
           typename U>
   requires VectorSelectOpFor<Pred, U>
@@ -93,6 +94,18 @@ void select(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
   detail::check_size_match(w.size(), u.size(), "select: w vs u");
 
   detail::with_vector_probe(mask, desc, w.size(), [&](const auto& probe) {
+    detail::AscendingReader<U> ur(u);
+    auto emit = [&](Index i, auto& zi, auto& zv) {
+      const auto* x = ur.find(i);
+      if (x != nullptr && pred(static_cast<U>(*x), i)) {
+        zi.push_back(i);
+        zv.push_back(*x);
+      }
+    };
+    if (detail::try_mask_driven<U>(ctx, w, probe, accum, desc.replace,
+                                   u.nvals(), emit)) {
+      return;
+    }
     if (u.is_dense()) {
       // Low-selectivity filters (bucket extraction keeping a thin value
       // range) produce sparse outputs; below the crossover the compacted

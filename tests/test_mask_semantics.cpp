@@ -5,9 +5,13 @@
 // element-wise model of the standard semantics.  This is the machinery
 // every operation shares, so these parameterized sweeps protect all of
 // apply/ewise/vxm/mxm/reduce/select/extract/assign/transpose at once.
+// The same reference then checks the mask-driven point-wise kernels over
+// random masks and operands in both storage representations.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "graphblas/graphblas.hpp"
@@ -60,17 +64,10 @@ std::vector<std::optional<bool>> mask_model() {
   return m;
 }
 
-grb::Vector<double> to_vector(const Model& model) {
-  grb::Vector<double> v(kN);
-  for (Index i = 0; i < kN; ++i) {
-    if (model[i]) v.set_element(i, *model[i]);
-  }
-  return v;
-}
-
-grb::Vector<bool> to_mask(const std::vector<std::optional<bool>>& model) {
-  grb::Vector<bool> v(kN);
-  for (Index i = 0; i < kN; ++i) {
+template <typename T>
+grb::Vector<T> to_vector(const std::vector<std::optional<T>>& model) {
+  grb::Vector<T> v(model.size());
+  for (Index i = 0; i < model.size(); ++i) {
     if (model[i]) v.set_element(i, *model[i]);
   }
   return v;
@@ -80,8 +77,8 @@ grb::Vector<bool> to_mask(const std::vector<std::optional<bool>>& model) {
 Model expected_write(const Model& old, const Model& t,
                      const std::vector<std::optional<bool>>& mask,
                      const Flags& f) {
-  Model out(kN);
-  for (Index i = 0; i < kN; ++i) {
+  Model out(old.size());
+  for (Index i = 0; i < old.size(); ++i) {
     bool m = f.structural ? mask[i].has_value()
                           : (mask[i].has_value() && *mask[i]);
     if (f.complement) m = !m;
@@ -109,7 +106,8 @@ Model expected_write(const Model& old, const Model& t,
 
 void expect_matches(const grb::Vector<double>& got, const Model& want,
                     const std::string& context) {
-  for (Index i = 0; i < kN; ++i) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (Index i = 0; i < want.size(); ++i) {
     auto g = got.extract_element(i);
     if (want[i]) {
       ASSERT_TRUE(g.has_value()) << context << ": missing element " << i;
@@ -127,7 +125,7 @@ TEST_P(MaskCube, ApplyFollowsTheStandardWriteRule) {
   const Flags f = GetParam();
   auto w = to_vector(old_output());
   const auto u = to_vector(computed_result());
-  const auto mask = to_mask(mask_model());
+  const auto mask = to_vector(mask_model());
   const grb::Descriptor desc{.replace = f.replace,
                              .mask_complement = f.complement,
                              .mask_structure = f.structural};
@@ -148,7 +146,7 @@ TEST_P(MaskCube, EwiseMultSeesTheSameRule) {
   const Flags f = GetParam();
   auto w = to_vector(old_output());
   const auto u = to_vector(computed_result());
-  const auto mask = to_mask(mask_model());
+  const auto mask = to_vector(mask_model());
   const grb::Descriptor desc{.replace = f.replace,
                              .mask_complement = f.complement,
                              .mask_structure = f.structural};
@@ -255,6 +253,254 @@ TEST(NoMaskSemantics, AccumWithoutMaskMergesUnion) {
   // i=3 only in old: kept.  i=2 only in new: inserted.
   EXPECT_DOUBLE_EQ(*w.extract_element(3), 103.0);
   EXPECT_DOUBLE_EQ(*w.extract_element(2), 2.0);
+}
+
+// --- Mask-driven kernels. ----------------------------------------------------
+//
+// apply / select / ewise_add / ewise_mult iterate the mask's entries
+// instead of walking their inputs when the mask is a plain (uncomplemented)
+// vector mask in sparse storage holding fewer entries than the input walk.
+// Each op runs over masks smaller and larger than its inputs, sparse and
+// dense, across the whole flag cube and every operand representation; the
+// result must match the position-by-position reference, and
+// Context::mask_driven_calls must show exactly the path the rule picks.
+
+constexpr Index kWideN = 300;  // several bitmap words, a partial last one
+
+Model random_model(double density, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution keep(density);
+  std::uniform_int_distribution<int> value(1, 40);
+  Model m(kWideN);
+  for (auto& x : m) {
+    if (keep(rng)) x = 0.25 * value(rng);  // exact in binary fp
+  }
+  return m;
+}
+
+/// About a third of the stored entries are false, so value and structural
+/// masks select different positions.
+std::vector<std::optional<bool>> random_mask_model(double density,
+                                                   std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::bernoulli_distribution keep(density);
+  std::bernoulli_distribution truthy(0.65);
+  std::vector<std::optional<bool>> m(kWideN);
+  for (auto& x : m) {
+    if (keep(rng)) x = truthy(rng);
+  }
+  return m;
+}
+
+enum class PointwiseOp { kApply, kSelect, kEwiseAdd, kEwiseMult };
+
+const char* op_name(PointwiseOp op) {
+  switch (op) {
+    case PointwiseOp::kApply:
+      return "apply";
+    case PointwiseOp::kSelect:
+      return "select";
+    case PointwiseOp::kEwiseAdd:
+      return "ewise_add";
+    default:
+      return "ewise_mult";
+  }
+}
+
+/// The op's unmasked result T, position by position.
+Model computed(PointwiseOp op, const Model& u, const Model& v) {
+  Model t(u.size());
+  for (std::size_t i = 0; i < u.size(); ++i) {
+    switch (op) {
+      case PointwiseOp::kApply:
+        if (u[i]) t[i] = 2.0 * *u[i] + 1.0;
+        break;
+      case PointwiseOp::kSelect:
+        if (u[i] && *u[i] < 5.0) t[i] = u[i];
+        break;
+      case PointwiseOp::kEwiseAdd:
+        if (u[i] && v[i]) {
+          t[i] = std::min(*u[i], *v[i]);
+        } else {
+          t[i] = u[i] ? u[i] : v[i];
+        }
+        break;
+      case PointwiseOp::kEwiseMult:
+        if (u[i] && v[i]) t[i] = *u[i] * *v[i];
+        break;
+    }
+  }
+  return t;
+}
+
+template <typename Accum>
+void run_pointwise(PointwiseOp op, grb::Context& ctx, grb::Vector<double>& w,
+                   const grb::Vector<bool>& mask, const Accum& accum,
+                   const grb::Vector<double>& u, const grb::Vector<double>& v,
+                   const grb::Descriptor& desc) {
+  switch (op) {
+    case PointwiseOp::kApply:
+      grb::apply(ctx, w, mask, accum,
+                 [](double x) { return 2.0 * x + 1.0; }, u, desc);
+      break;
+    case PointwiseOp::kSelect:
+      grb::select(ctx, w, mask, accum,
+                  [](double x, Index) { return x < 5.0; }, u, desc);
+      break;
+    case PointwiseOp::kEwiseAdd:
+      grb::ewise_add(ctx, w, mask, accum, grb::Min<double>{}, u, v, desc);
+      break;
+    case PointwiseOp::kEwiseMult:
+      grb::ewise_mult(ctx, w, mask, accum, grb::Times<double>{}, u, v, desc);
+      break;
+  }
+}
+
+/// Stored entries the op's input-driven kernel walks — the other side of
+/// the dispatch comparison.
+Index input_walk(PointwiseOp op, const grb::Vector<double>& u,
+                 const grb::Vector<double>& v) {
+  switch (op) {
+    case PointwiseOp::kApply:
+    case PointwiseOp::kSelect:
+      return u.nvals();
+    case PointwiseOp::kEwiseAdd:
+      return u.nvals() + v.nvals();
+    default:
+      if (u.is_dense() == v.is_dense()) return u.nvals() + v.nvals();
+      return u.is_dense() ? v.nvals() : u.nvals();
+  }
+}
+
+class MaskDriven : public ::testing::TestWithParam<Flags> {};
+
+TEST_P(MaskDriven, PointwiseOpsMatchTheReference) {
+  const Flags f = GetParam();
+  const grb::Descriptor desc{.replace = f.replace,
+                             .mask_complement = f.complement,
+                             .mask_structure = f.structural};
+  const Model old = random_model(0.35, 1);
+  const Model u_model = random_model(0.4, 2);
+  const Model v_model = random_model(0.3, 3);
+  bool saw_driven = false;
+  bool saw_input_driven = false;
+  // 0.04: a mask far smaller than every input walk; 0.3: close to the
+  // inputs' size, so consecutive mask positions often hit consecutive
+  // input entries; 0.95: larger than every input walk.
+  for (const double mask_density : {0.04, 0.3, 0.95}) {
+    const auto mask_model = random_mask_model(mask_density, 4);
+    for (const bool mask_dense : {false, true}) {
+      for (const int reps : {0, 1, 2, 3}) {
+        for (const PointwiseOp op :
+             {PointwiseOp::kApply, PointwiseOp::kSelect,
+              PointwiseOp::kEwiseAdd, PointwiseOp::kEwiseMult}) {
+          auto mask = to_vector(mask_model);
+          if (mask_dense) mask.to_dense();
+          auto u = to_vector(u_model);
+          auto v = to_vector(v_model);
+          if (reps & 1) u.to_dense();
+          if (reps & 2) v.to_dense();
+          auto w = to_vector(old);
+          grb::Context ctx;
+          if (f.accumulate) {
+            run_pointwise(op, ctx, w, mask, grb::Plus<double>{}, u, v, desc);
+          } else {
+            run_pointwise(op, ctx, w, mask, grb::NoAccumulate{}, u, v, desc);
+          }
+          const std::string where =
+              std::string(op_name(op)) + " mask_density=" +
+              std::to_string(mask_density) +
+              (mask_dense ? " dense-mask" : " sparse-mask") +
+              (reps & 1 ? " dense-u" : " sparse-u") +
+              (reps & 2 ? " dense-v" : " sparse-v") + " " +
+              flags_name({GetParam(), 0});
+          expect_matches(w,
+                         expected_write(old, computed(op, u_model, v_model),
+                                        mask_model, f),
+                         where);
+          const bool driven = !f.complement && !mask_dense &&
+                              mask.nvals() < input_walk(op, u, v);
+          EXPECT_EQ(ctx.mask_driven_calls, driven ? 1u : 0u) << where;
+          (driven ? saw_driven : saw_input_driven) = true;
+        }
+      }
+    }
+  }
+  // Every cell sees both kernels, except that complemented masks must
+  // never take the mask-driven one.
+  EXPECT_EQ(saw_driven, !f.complement);
+  EXPECT_TRUE(saw_input_driven);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllFlagCombos, MaskDriven,
+                         ::testing::ValuesIn(all_flag_combinations()),
+                         flags_name);
+
+// The replace-mode write installs z without merging against the old w.  It
+// must still normalize values when the output element type differs from
+// the computed one: storage is unsigned char for both bool and unsigned
+// char, so a missing cast would leave e.g. 7 in a bool vector.
+TEST(MaskDrivenWrite, ReplaceInstallNormalizesBoolAndUchar) {
+  const auto mask_model = random_mask_model(0.04, 5);
+  const auto mask = to_vector(mask_model);
+  std::vector<std::optional<unsigned char>> u_model(kWideN);
+  for (Index i = 0; i < kWideN; i += 2) {
+    u_model[i] = static_cast<unsigned char>(i % 9);  // 0 and values > 1
+  }
+  const auto u = to_vector(u_model);
+  const auto identity = [](unsigned char x) { return x; };
+  for (const bool replace : {false, true}) {
+    const grb::Descriptor desc{.replace = replace};
+    // W = bool, Z = unsigned char, through the mask-driven kernel and
+    // through the unmasked input-driven one.
+    grb::Context ctx;
+    grb::Vector<bool> masked(kWideN);
+    grb::apply(ctx, masked, mask, grb::NoAccumulate{}, identity, u, desc);
+    EXPECT_EQ(ctx.mask_driven_calls, 1u);
+    grb::Vector<bool> unmasked(kWideN);
+    grb::apply(ctx, unmasked, grb::NoMask{}, grb::NoAccumulate{}, identity,
+               u, desc);
+    EXPECT_EQ(ctx.mask_driven_calls, 1u);
+    for (const auto* w : {&masked, &unmasked}) {
+      auto wi = w->indices();
+      auto wv = w->values();
+      for (std::size_t k = 0; k < wi.size(); ++k) {
+        EXPECT_EQ(wv[k], *u_model[wi[k]] != 0 ? 1 : 0)
+            << "replace=" << replace << " at " << wi[k];
+      }
+    }
+    std::size_t want = 0;
+    for (Index i = 0; i < kWideN; ++i) {
+      if (mask_model[i].value_or(false) && u_model[i]) ++want;
+    }
+    EXPECT_EQ(masked.nvals(), want) << "replace=" << replace;
+    EXPECT_EQ(unmasked.nvals(), u.nvals()) << "replace=" << replace;
+
+    // W = bool, Z = double: the Fig. 2 filter tless<treq> = (treq < t),
+    // where ewise_add's union type is double.
+    std::vector<std::optional<double>> t_model(kWideN);
+    for (Index i = 0; i < kWideN; i += 3) {
+      t_model[i] = 0.5 * static_cast<double>(i % 7);
+    }
+    const auto t = to_vector(t_model);
+    std::vector<std::optional<double>> treq_model(kWideN);
+    for (Index i = 0; i < kWideN; i += 30) treq_model[i] = 1.0;
+    const auto treq = to_vector(treq_model);
+    grb::Vector<bool> tless(kWideN);
+    grb::ewise_add(ctx, tless, treq, grb::NoAccumulate{},
+                   grb::LessThan<double>{}, treq, t, desc);
+    EXPECT_EQ(ctx.mask_driven_calls, 2u);
+    auto li = tless.indices();
+    auto lv = tless.values();
+    ASSERT_EQ(li.size(), treq.nvals());
+    for (std::size_t k = 0; k < li.size(); ++k) {
+      const Index i = li[k];
+      const bool want_less = !t_model[i] || 1.0 < *t_model[i];
+      // A lone treq entry passes through as 1.0, i.e. true.
+      EXPECT_EQ(lv[k], want_less ? 1 : 0) << "replace=" << replace << " at "
+                                          << i;
+    }
+  }
 }
 
 }  // namespace

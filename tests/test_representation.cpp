@@ -9,10 +9,13 @@
 #include <vector>
 
 #include "algorithms/bfs.hpp"
+#include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "graphblas/graphblas.hpp"
 #include "sssp/delta_stepping_graphblas.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/plan.hpp"
+#include "sssp/solver.hpp"
 
 namespace {
 
@@ -829,6 +832,40 @@ TEST(RepresentationParity, SsspEndToEndWithAutoSwitching) {
   ASSERT_EQ(res.dist.size(), ref.dist.size());
   for (std::size_t i = 0; i < ref.dist.size(); ++i) {
     EXPECT_DOUBLE_EQ(res.dist[i], ref.dist[i]) << "vertex " << i;
+  }
+}
+
+TEST(KernelPath, Fig2LoopRunsMaskDrivenKernels) {
+  // Regression pin for the mask-driven dispatch: the Fig. 2 loop's masked
+  // filters (tless<treq>, t<tb>, t<s>) hold far fewer entries than t once
+  // t has spread, so the unfused graphblas core must take the mask-driven
+  // kernels — a dispatch regression fails here, not only in a benchmark —
+  // and still return Dijkstra's and fused's distances exactly.
+  dsg::RmatParams params;
+  params.scale = 10;
+  params.seed = 7;
+  auto edges = dsg::generate_rmat(params);
+  edges.symmetrize();
+  edges.normalize();
+  dsg::assign_integer_weights(edges, 1, 100, 7);
+  const dsg::GraphPlan plan(edges.to_matrix());
+  const dsg::ExecOptions exec;
+  using dsg::sssp::Algorithm;
+  using dsg::sssp::algorithm_info;
+  for (const Index source : {Index{0}, Index{17}, Index{513}}) {
+    grb::Context ctx;
+    const auto got =
+        algorithm_info(Algorithm::kGraphblas).run(plan, ctx, source, exec);
+    EXPECT_GT(ctx.mask_driven_calls, 0u) << "source " << source;
+    grb::Context other;
+    EXPECT_EQ(got.dist,
+              algorithm_info(Algorithm::kDijkstra).run(plan, other, source,
+                                                       exec).dist)
+        << "source " << source;
+    EXPECT_EQ(got.dist,
+              algorithm_info(Algorithm::kFused).run(plan, other, source,
+                                                    exec).dist)
+        << "source " << source;
   }
 }
 
