@@ -48,10 +48,10 @@ int main(int argc, char** argv) {
           [&] { return solver.solve(0); }, *a, 0, reps);
       if (first) {
         // One-time validation + CSR light/heavy split cost (the plan work
-        // of the buckets/fused/openmp family) — what their legacy entry
-        // points used to re-pay per query.  The graphblas family pays
-        // this plus the grb-matrix materialization; bellman_ford/dijkstra
-        // pay only the validation scan.
+        // of the buckets/fused/openmp family) — what a one-shot solver
+        // re-pays per query.  The graphblas family pays this plus the
+        // grb-matrix materialization; bellman_ford/dijkstra pay only the
+        // validation scan.
         row.push_back(format_ms(solver.plan().setup_seconds() * 1000.0));
         first = false;
       }

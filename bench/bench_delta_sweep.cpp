@@ -21,8 +21,7 @@
 
 #include "bench_common.hpp"
 #include "bench_support/reporter.hpp"
-#include "sssp/bellman_ford.hpp"
-#include "sssp/dijkstra.hpp"
+#include "graphblas/context.hpp"
 #include "sssp/solver.hpp"
 
 namespace {
@@ -63,14 +62,11 @@ int main(int argc, char** argv) {
                       "relax_requests"});
 
     // The heuristic's pick joins the sweep, tagged in the table.
-    double auto_delta = 0.0;
+    const sssp::SsspSolver probe(a);  // delta = kAutoDelta
+    const double auto_delta = probe.delta();
     auto deltas = explicit_deltas;
-    {
-      sssp::SsspSolver probe(a);  // delta = kAutoDelta
-      auto_delta = probe.delta();
-      deltas.push_back(auto_delta);
-      std::sort(deltas.begin(), deltas.end());
-    }
+    deltas.push_back(auto_delta);
+    std::sort(deltas.begin(), deltas.end());
 
     for (double delta : deltas) {
       sssp::SolverOptions options;
@@ -92,11 +88,16 @@ int main(int argc, char** argv) {
                      std::to_string(result.stats.relax_requests)});
     }
 
-    // Reference points: the two limits delta-stepping interpolates.
-    const double dij_ms = bench::time_best_ms(
-        [&] { return dijkstra(*a, 0); }, *a, 0, reps);
-    const double bf_ms = bench::time_best_ms(
-        [&] { return bellman_ford(*a, 0); }, *a, 0, reps);
+    // Reference points: the two limits delta-stepping interpolates, run
+    // through the registry on the probe's plan (neither reads its Δ).
+    auto reference_ms = [&](sssp::Algorithm algorithm) {
+      grb::Context ctx;
+      const sssp::AlgorithmInfo& info = sssp::algorithm_info(algorithm);
+      return bench::time_best_ms(
+          [&] { return info.run(probe.plan(), ctx, 0, {}); }, *a, 0, reps);
+    };
+    const double dij_ms = reference_ms(sssp::Algorithm::kDijkstra);
+    const double bf_ms = reference_ms(sssp::Algorithm::kBellmanFord);
     table.add_footer("dijkstra (binary heap): " + format_ms(dij_ms));
     table.add_footer("bellman-ford (worklist): " + format_ms(bf_ms));
     table.add_footer("auto-delta heuristic picked " +

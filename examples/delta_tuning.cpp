@@ -19,7 +19,6 @@
 #include "bench_support/timer.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
-#include "sssp/bellman_ford.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
@@ -81,8 +80,10 @@ int main(int argc, char** argv) {
   dijkstra(*a, 0);
   std::cout << "\ndijkstra:     " << format_ms(dij_timer.milliseconds())
             << "\n";
+  sssp::SsspSolver bellman_ford(a,
+                                {.algorithm = sssp::Algorithm::kBellmanFord});
   WallTimer bf_timer;
-  bellman_ford(*a, 0);
+  bellman_ford.solve(0);
   std::cout << "bellman-ford: " << format_ms(bf_timer.milliseconds())
             << "\n";
   std::cout << "\nreading the table: tiny delta ~ Dijkstra (many buckets, "

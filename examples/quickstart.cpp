@@ -16,8 +16,8 @@
 #include "graph/snap_reader.hpp"
 #include "graph/stats.hpp"
 #include "graph/weights.hpp"
-#include "sssp/delta_stepping_graphblas.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 
 int main(int argc, char** argv) {
@@ -39,12 +39,14 @@ int main(int argc, char** argv) {
   std::cout << "graph: " << format_stats(compute_stats(graph)) << "\n";
 
   // 2. Run the linear-algebraic delta-stepping on the adjacency matrix.
-  const auto a = graph.to_matrix();
+  //    The solver owns the matrix; a Δ <= 0 lets it pick one.
+  sssp::SsspSolver solver(graph.to_matrix(),
+                          {.algorithm = sssp::Algorithm::kGraphblas,
+                           .delta = args.get_double("delta", 1.0)});
+  const auto& a = solver.plan().matrix();
   const auto source = static_cast<Index>(args.get_int("source", 0));
-  DeltaSteppingOptions options;
-  options.delta = args.get_double("delta", 1.0);
 
-  const auto result = delta_stepping_graphblas(a, source, options);
+  const auto result = solver.solve(source);
   std::cout << "delta-stepping: " << result.stats.outer_iterations
             << " buckets, " << result.stats.light_phases
             << " light phases, " << result.stats.relax_requests

@@ -7,14 +7,14 @@
 // Usage: social_hops [--scale 13] [--edge-factor 12] [--source 0]
 #include <iostream>
 #include <map>
+#include <memory>
 
 #include "bench_support/cli.hpp"
 #include "bench_support/timer.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "graph/weights.hpp"
-#include "sssp/delta_stepping_fused.hpp"
-#include "sssp/delta_stepping_graphblas.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 
 int main(int argc, char** argv) {
@@ -29,18 +29,24 @@ int main(int argc, char** argv) {
   graph.symmetrize();
   assign_unit_weights(graph);
   graph.normalize();
-  const auto a = graph.to_matrix();
+  const auto a =
+      std::make_shared<const grb::Matrix<double>>(graph.to_matrix());
   const auto source = static_cast<Index>(args.get_int("source", 0));
 
   std::cout << "social graph: " << format_stats(compute_stats(graph)) << "\n";
 
   // Unit weights + delta=1: bucket i is exactly the BFS level-i frontier.
-  DeltaSteppingOptions options;  // delta = 1
+  // Each timing covers a one-shot solver: plan (split) plus one solve.
   WallTimer gb_timer;
-  const auto gb = delta_stepping_graphblas(a, source, options);
+  const auto gb =
+      sssp::SsspSolver(a, {.algorithm = sssp::Algorithm::kGraphblas,
+                           .delta = 1.0})
+          .solve(source);
   const double gb_ms = gb_timer.milliseconds();
   WallTimer fused_timer;
-  const auto fused = delta_stepping_fused(a, source, options);
+  const auto fused =
+      sssp::SsspSolver(a, {.algorithm = sssp::Algorithm::kFused, .delta = 1.0})
+          .solve(source);
   const double fused_ms = fused_timer.milliseconds();
 
   const auto agree = compare_distances(gb.dist, fused.dist);
@@ -59,7 +65,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "reachable from " << source << ": " << reachable << " of "
-            << a.nrows() << "\n";
+            << a->nrows() << "\n";
   for (const auto& [hops, count] : histogram) {
     std::cout << "  " << hops << " hops: " << count << "\n";
   }

@@ -52,9 +52,9 @@
 #   solver_batch   bench_solver_batch table 1: queries/sec through a warm
 #                  SsspSolver at batch sizes 1/8/64 per graph.
 #   solver_batch_amortization
-#                  bench_solver_batch table 2: 64-query legacy vs warm vs
-#                  batch totals (CI gate: batch < 2x warm, legacy >= 1.5x
-#                  batch).
+#                  bench_solver_batch table 2: 64-query one-shot-solver vs
+#                  warm vs batch totals (CI gate: batch < 2x warm,
+#                  one-shot >= 1.5x batch).
 #   solver_batch_representation
 #                  bench_solver_batch table 3: the unfused GraphBLAS
 #                  variant with Vector density auto-switching on vs off
@@ -134,7 +134,7 @@ fi
 "$BUILD_DIR/bench/bench_spmspv" "${SPMSPV_ARGS[@]}" --csv --check \
   > "$OUT_DIR/spmspv.csv"
 # --check is the Release amortization + serving gate: solve_batch(64) < 2x
-# the 64 warm solves, 64 legacy calls >= 1.5x solve_batch(64), AND serving
+# the 64 warm solves, 64 one-shot solvers >= 1.5x solve_batch(64), AND serving
 # cache-on qps >= 1.5x cache-off under 50%-repeated-source traffic.  A
 # failed gate fails this script (and the CI bench-smoke job).
 "$BUILD_DIR/bench/bench_solver_batch" "${BATCH_ARGS[@]}" --csv --check \
@@ -225,7 +225,7 @@ doc = {
     "spmspv_wordpack":
         spmspv_tables[2] if len(spmspv_tables) > 2 else [],
     # Batched-query scenario: queries/sec at batch sizes 1/8/64 through a
-    # warm SsspSolver, the 64-query legacy/warm/batch amortization, and the
+    # warm SsspSolver, the 64-query one-shot/warm/batch amortization, and the
     # dense auto-switching on/off record for the graphblas variant.
     "solver_batch": batch_tables[0] if batch_tables else [],
     "solver_batch_amortization":

@@ -184,8 +184,8 @@ GrB_Info GrB_Vector_reduce_FP64(double* out, GrB_BinaryOp accum,
  * DsgSolver_solve / DsgSolver_solve_batch then answer any number of
  * single- or multi-source queries against that plan without re-paying the
  * preprocessing.  This is the API to use for repeated-query workloads
- * (routing services, all-pairs sampling); the legacy one-call-per-query
- * style re-derives the plan every time.
+ * (routing services, all-pairs sampling); a new solver per query
+ * re-derives the plan every time.
  *
  * Conventions:
  *  - all functions return GrB_Info error codes; no exceptions ever cross
@@ -240,9 +240,10 @@ typedef enum {
 #define DSG_SSSP_DELTA_AUTO 0.0
 
 /* Builds a solver over a snapshot of `a` (square, non-negative weights).
- * `delta` > 0 fixes the bucket width; <= 0 selects it automatically.
- * Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH (non-square),
- * GrB_INVALID_VALUE (empty graph, negative weight, bad algorithm). */
+ * `delta` > 0 fixes the bucket width; a finite delta <= 0 selects it
+ * automatically.  Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH
+ * (non-square), GrB_INVALID_VALUE (empty graph, negative weight,
+ * non-finite delta, bad algorithm). */
 GrB_Info DsgSolver_new(DsgSolver* solver, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta);
 
@@ -360,8 +361,8 @@ typedef struct {
  * concurrent workers).  num_workers <= 0 selects the hardware thread
  * count; queue_capacity 0 is clamped to 1; cache_capacity 0 disables the
  * result cache.  Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH,
- * GrB_INVALID_VALUE (empty graph, negative weight, bad/pool-unsafe
- * algorithm). */
+ * GrB_INVALID_VALUE (empty graph, negative weight, non-finite delta,
+ * bad/pool-unsafe algorithm). */
 GrB_Info DsgServer_new(DsgServer* server, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta,
                        int32_t num_workers, GrB_Index queue_capacity,

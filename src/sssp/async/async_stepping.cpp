@@ -497,29 +497,4 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   return run_async(plan, ctx, source, exec, /*use_delta=*/true);
 }
 
-SsspResult rho_stepping(const grb::Matrix<double>& a, Index source,
-                        const AsyncSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  // The plan's validation scan rejects negative weights; its delta is
-  // unused by rho-stepping, so let the heuristic pick one.
-  GraphPlan plan = GraphPlan::borrow(a, kAutoDelta);
-  ExecOptions exec;
-  exec.profile = options.profile;
-  exec.num_threads = options.num_threads;
-  exec.rho = options.rho;
-  return rho_stepping(plan, grb::default_context(), source, exec);
-}
-
-SsspResult delta_stepping_async(const grb::Matrix<double>& a, Index source,
-                                const AsyncSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  check_delta(options.delta);
-  GraphPlan plan = GraphPlan::borrow(a, options.delta);
-  ExecOptions exec;
-  exec.profile = options.profile;
-  exec.num_threads = options.num_threads;
-  exec.rho = options.rho;
-  return delta_stepping_async(plan, grb::default_context(), source, exec);
-}
-
 }  // namespace dsg

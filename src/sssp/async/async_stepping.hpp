@@ -47,40 +47,15 @@ class Context;
 
 namespace dsg {
 
-/// Options for the legacy one-shot entry points.  The plan-based entry
-/// points take the same knobs through ExecOptions (num_threads, rho) and
-/// GraphPlan (delta).
-struct AsyncSteppingOptions {
-  /// Bucket width for delta_stepping_async (> 0); ignored by
-  /// rho_stepping.
-  double delta = 1.0;
-  /// rho_stepping batch-size target: frontiers at most this large are
-  /// fully processed in one round.  0 selects max(64, n/8) from the
-  /// graph.  Ignored by delta_stepping_async.
-  Index rho = 0;
-  /// Worker threads; 0 = std::thread::hardware_concurrency().  1 runs the
-  /// same engine inline without spawning.
-  int num_threads = 0;
-  /// Accepted for signature symmetry; the async engine keeps the
-  /// per-phase timers at 0 (see the header comment).
-  bool profile = false;
-};
-
-/// PASGAL-style rho-stepping (plan-based core).  Uses ExecOptions::rho
-/// (0 = auto) and ExecOptions::num_threads; the plan's delta is unused.
+/// PASGAL-style rho-stepping.  Uses ExecOptions::rho (0 = max(64, n/8))
+/// and ExecOptions::num_threads (0 = hardware concurrency, 1 = inline on
+/// the calling thread); the plan's delta is unused.
 SsspResult rho_stepping(const GraphPlan& plan, grb::Context& ctx,
                         Index source, const ExecOptions& exec);
 
-/// Asynchronous delta-stepping (plan-based core).  Buckets by the plan's
-/// delta but relaxes each bucket lock-free instead of in two-pass
-/// deterministic phases.
+/// Asynchronous delta-stepping.  Buckets by the plan's delta but relaxes
+/// each bucket lock-free instead of in two-pass deterministic phases.
 SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec);
-
-/// Legacy one-shot entry points (validate, borrow a plan, run once).
-SsspResult rho_stepping(const grb::Matrix<double>& a, Index source,
-                        const AsyncSteppingOptions& options = {});
-SsspResult delta_stepping_async(const grb::Matrix<double>& a, Index source,
-                                const AsyncSteppingOptions& options = {});
 
 }  // namespace dsg

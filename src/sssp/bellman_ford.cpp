@@ -7,14 +7,15 @@
 
 namespace dsg {
 
-namespace {
-
-/// SPFA worklist core.  The control is polled every kPollStride dequeues
-/// (the loop has no round structure).  dist is relax-only, so any
-/// interruption cut is a valid upper bound.
-SsspResult bellman_ford_impl(const grb::Matrix<double>& a, Index source,
-                             const QueryControl* control) {
+// SPFA worklist.  The plan rejected negative weights at construction, so
+// there is no negative cycle to detect.  The control is polled every
+// kPollStride dequeues (the loop has no round structure).  dist is
+// relax-only, so any interruption cut is a valid upper bound.
+SsspResult bellman_ford(const GraphPlan& plan, grb::Context&, Index source,
+                        const ExecOptions& exec) {
+  const grb::Matrix<double>& a = plan.matrix();
   const Index n = a.nrows();
+  grb::detail::check_index(source, n, "sssp: source");
   constexpr std::uint64_t kPollStride = 1024;
 
   SsspResult result;
@@ -23,14 +24,13 @@ SsspResult bellman_ford_impl(const grb::Matrix<double>& a, Index source,
 
   std::deque<Index> queue;
   std::vector<unsigned char> in_queue(n, 0);
-  std::vector<Index> relax_count(n, 0);
   queue.push_back(source);
   in_queue[source] = 1;
 
   std::uint64_t dequeues = 0;
-  SsspStatus status = poll_control(control);
+  SsspStatus status = poll_control(exec.control);
   while (status == SsspStatus::kComplete && !queue.empty()) {
-    if (++dequeues % kPollStride == 0) status = poll_control(control);
+    if (++dequeues % kPollStride == 0) status = poll_control(exec.control);
     testing::fault_point("bellman_ford/relax");
     const Index u = queue.front();
     queue.pop_front();
@@ -46,10 +46,6 @@ SsspResult bellman_ford_impl(const grb::Matrix<double>& a, Index source,
       if (cand < result.dist[v]) {
         result.dist[v] = cand;
         if (!in_queue[v]) {
-          if (++relax_count[v] >= n) {
-            throw grb::InvalidValue(
-                "bellman_ford: negative cycle reachable from source");
-          }
           queue.push_back(v);
           in_queue[v] = 1;
         }
@@ -57,66 +53,6 @@ SsspResult bellman_ford_impl(const grb::Matrix<double>& a, Index source,
     }
   }
   result.status = status;
-  return result;
-}
-
-}  // namespace
-
-SsspResult bellman_ford(const grb::Matrix<double>& a, Index source) {
-  check_sssp_inputs(a, source);
-  return bellman_ford_impl(a, source, nullptr);
-}
-
-SsspResult bellman_ford(const GraphPlan& plan, grb::Context&, Index source,
-                        const ExecOptions& exec) {
-  grb::detail::check_index(source, plan.num_vertices(), "sssp: source");
-  return bellman_ford_impl(plan.matrix(), source, exec.control);
-}
-
-SsspResult bellman_ford_rounds(const grb::Matrix<double>& a, Index source) {
-  check_sssp_inputs(a, source);
-  const Index n = a.nrows();
-
-  SsspResult result;
-  result.dist.assign(n, kInfDist);
-  result.dist[source] = 0.0;
-
-  // t_{k+1}[v] = min(t_k[v], min_u t_k[u] + w(u,v)) — a full (min,+)
-  // relaxation sweep per round, at most |V|-1 rounds.
-  for (Index round = 0; round + 1 < n; ++round) {
-    ++result.stats.outer_iterations;
-    bool changed = false;
-    for (Index u = 0; u < n; ++u) {
-      const double du = result.dist[u];
-      if (du == kInfDist) continue;
-      auto cols = a.row_indices(u);
-      auto vals = a.row_values(u);
-      for (std::size_t k = 0; k < cols.size(); ++k) {
-        const Index v = cols[k];
-        const double cand = du + vals[k];
-        ++result.stats.relax_requests;
-        if (cand < result.dist[v]) {
-          result.dist[v] = cand;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-
-  // One more sweep detects reachable negative cycles.
-  for (Index u = 0; u < n; ++u) {
-    const double du = result.dist[u];
-    if (du == kInfDist) continue;
-    auto cols = a.row_indices(u);
-    auto vals = a.row_values(u);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (du + vals[k] < result.dist[cols[k]]) {
-        throw grb::InvalidValue(
-            "bellman_ford_rounds: negative cycle reachable from source");
-      }
-    }
-  }
   return result;
 }
 

@@ -16,19 +16,9 @@ class Context;
 namespace dsg {
 
 /// Queue-based Bellman–Ford (SPFA-style worklist) from `source`.
-/// Handles negative weights; throws grb::InvalidValue when a negative
-/// cycle is reachable from the source.
-SsspResult bellman_ford(const grb::Matrix<double>& a, Index source);
-
-/// Plan-based entry (solver registry).  Bellman–Ford needs no Δ-dependent
-/// preprocessing; this simply runs the worklist against the plan's
-/// already-validated matrix.
+/// Bellman–Ford needs no Δ-dependent preprocessing; this runs the worklist
+/// against the plan's already-validated (non-negative) matrix.
 SsspResult bellman_ford(const GraphPlan& plan, grb::Context& ctx, Index source,
                         const ExecOptions& exec = {});
-
-/// Classic round-based Bellman–Ford: |V|-1 full relaxation sweeps with
-/// early exit.  Also the linear-algebraic r-fold (min,+) vxm iteration
-/// t_{k+1} = min(t_k, A'ᵀ t_k) — used to cross-check the semiring kernels.
-SsspResult bellman_ford_rounds(const grb::Matrix<double>& a, Index source);
 
 }  // namespace dsg

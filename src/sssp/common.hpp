@@ -1,6 +1,7 @@
 // common.hpp — shared types for the SSSP algorithm family.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -48,16 +49,24 @@ struct SsspResult {
   SsspStatus status = SsspStatus::kComplete;
 };
 
-/// Options shared by all delta-stepping variants.
-struct DeltaSteppingOptions {
-  double delta = 1.0;  ///< bucket width Δ (>0)
+/// Throws grb::InvalidValue unless `w` is a finite, non-negative edge
+/// weight (Dijkstra and delta-stepping require them).  Written as
+/// !(isfinite && >= 0) rather than (w < 0): NaN compares false against
+/// everything, so a plain negativity test waves NaN weights through into
+/// the relaxation loop, where min(NaN, d) poisons distances.  The one
+/// weight check of the library: GraphPlan applies it in its construction
+/// scan, the Dijkstra oracle per call.
+inline void check_edge_weight(double w) {
+  if (!(std::isfinite(w) && w >= 0.0)) {
+    throw grb::InvalidValue("sssp: non-finite or negative edge weight " +
+                            std::to_string(w));
+  }
+}
 
-  /// When true, collect the per-phase timers in SsspStats (small overhead).
-  bool profile = false;
-};
-
-/// Validates inputs common to every SSSP entry point.
-/// Throws grb::InvalidValue / grb::IndexOutOfBounds on violations.
+/// Validates inputs common to the matrix-taking entry points (the
+/// Dijkstra oracle, recover_parents).
+/// Throws grb::DimensionMismatch / grb::InvalidValue /
+/// grb::IndexOutOfBounds on violations.
 inline void check_sssp_inputs(const grb::Matrix<double>& a, Index source) {
   if (a.nrows() != a.ncols()) {
     throw grb::DimensionMismatch("sssp: adjacency matrix must be square");
@@ -66,27 +75,6 @@ inline void check_sssp_inputs(const grb::Matrix<double>& a, Index source) {
     throw grb::InvalidValue("sssp: empty graph");
   }
   grb::detail::check_index(source, a.nrows(), "sssp: source");
-}
-
-/// Throws if any stored weight is negative (delta-stepping and Dijkstra
-/// require non-negative weights); returns the max weight.
-inline double check_nonnegative_weights(const grb::Matrix<double>& a) {
-  double max_w = 0.0;
-  a.for_each([&](Index, Index, const double& w) {
-    if (w < 0.0) {
-      throw grb::InvalidValue("sssp: negative edge weight " +
-                              std::to_string(w));
-    }
-    if (w > max_w) max_w = w;
-  });
-  return max_w;
-}
-
-inline void check_delta(double delta) {
-  if (!(delta > 0.0)) {
-    throw grb::InvalidValue("sssp: delta must be > 0, got " +
-                            std::to_string(delta));
-  }
 }
 
 }  // namespace dsg

@@ -172,25 +172,4 @@ SsspResult delta_stepping_buckets(const GraphPlan& plan, grb::Context&,
   return result;
 }
 
-SsspResult delta_stepping_buckets(const grb::Matrix<double>& a, Index source,
-                                  const DeltaSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  check_delta(options.delta);
-
-  // One-shot plan; the timer brackets only the split materialization (the
-  // plan's validation scan replaces the old untimed weight check), so
-  // stats.setup_seconds keeps its historical meaning.
-  GraphPlan plan = GraphPlan::borrow(a, options.delta);
-  const auto setup_start = Clock::now();
-  plan.light_heavy();
-  const double setup_seconds = seconds_since(setup_start);
-
-  ExecOptions exec;
-  exec.profile = options.profile;
-  SsspResult result =
-      delta_stepping_buckets(plan, grb::default_context(), source, exec);
-  result.stats.setup_seconds = setup_seconds;
-  return result;
-}
-
 }  // namespace dsg

@@ -18,15 +18,9 @@ class Context;
 
 namespace dsg {
 
-/// Canonical bucket-based delta-stepping from `source`.  One-shot: builds
-/// a throwaway plan per call; repeated-query callers should hold an
-/// sssp::SsspSolver (or a GraphPlan) instead.
-SsspResult delta_stepping_buckets(const grb::Matrix<double>& a, Index source,
-                                  const DeltaSteppingOptions& options = {});
-
-/// Plan-based core: executes against a prebuilt GraphPlan (weights already
-/// validated, light/heavy split already materialized).
-/// stats.setup_seconds is 0 here — the plan paid it once.
+/// Canonical bucket-based delta-stepping from `source` against a prebuilt
+/// GraphPlan (weights already validated, light/heavy split already
+/// materialized).  stats.setup_seconds is 0 here — the plan paid it once.
 SsspResult delta_stepping_buckets(const GraphPlan& plan, grb::Context& ctx,
                                   Index source, const ExecOptions& exec = {});
 

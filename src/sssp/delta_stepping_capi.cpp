@@ -1,11 +1,13 @@
 // delta_stepping_capi.cpp — transcription of the paper's Fig. 2.
 //
-// The body of sssp_delta_step() below follows the listing's structure and
-// comments; the original line numbers are kept in the comments so the two
-// can be read side by side.  Deviations are limited to:
-//   - C++ RAII-free cleanup via explicit GrB_*_free calls at the end,
+// build_capi_handles() (lines 1-21) and delta_stepping_capi() (lines
+// 4-73) follow the listing's structure and comments; the original line
+// numbers are kept in the comments so the two can be read side by side.
+// Deviations are limited to:
+//   - the setup (lines 2-21) runs once per GraphPlan, not once per call,
 //   - the input matrix arriving as grb::Matrix instead of a file load,
-//   - bounds/weight validation up front (the listing assumes good input).
+//   - source validation up front (the plan validated the graph),
+//   - the lifecycle poll per bucket and the RAII cleanup of the vectors.
 #include "sssp/delta_stepping_capi.hpp"
 
 #include <memory>
@@ -64,10 +66,8 @@ struct CapiPlanHandles {
   }
 };
 
-/// Frees a fixed set of GrB_Vector handles on scope exit, so the plan core
+/// Frees a fixed set of GrB_Vector handles on scope exit, so the loop
 /// cannot leak them when a fault point (or a C-API call) throws mid-loop.
-/// GrB_Vector_free nulls the handle, so the normal-path explicit frees and
-/// this guard compose safely.
 struct VectorGuard {
   std::vector<GrB_Vector*> vecs;
   ~VectorGuard() {
@@ -82,6 +82,8 @@ std::shared_ptr<CapiPlanHandles> build_capi_handles(
   const GrB_Index n = a_in.nrows();
   const GrB_Index m = a_in.ncols();
 
+  // Load the adjacency matrix into a C-API object (the listing's caller
+  // passes A in already built).
   GrB_Matrix_new(&h->A, n, m);
   {
     std::vector<GrB_Index> rows, cols;
@@ -98,22 +100,29 @@ std::shared_ptr<CapiPlanHandles> build_capi_handles(
                           static_cast<GrB_Index>(vals.size()), GrB_NULL);
   }
 
-  delta_global = delta;  // the filter operators read the global, as in Fig. 2
+  // Global scalars:                                  (lines 2-3)
+  delta_global = delta;
+
+  // Define operators                                  (lines 4-5)
   GrB_UnaryOp_new(&h->op_delta_leq, delta_leq);
   GrB_UnaryOp_new(&h->op_delta_gt, delta_gt);
   GrB_UnaryOp_new(&h->op_delta_igeq, delta_igeq);
   GrB_UnaryOp_new(&h->op_delta_irange, delta_irange);
 
-  GrB_Descriptor_new(&h->clear_desc);
+  GrB_Descriptor_new(&h->clear_desc);  // the listing's `clear_desc`
   GrB_Descriptor_set(h->clear_desc, GrB_OUTP, GrB_REPLACE);
 
+  // Create A_L and A_H based on delta:                (lines 10-13)
   GrB_Matrix Ab = nullptr;
   GrB_Matrix_new(&h->Ah, n, m);
   GrB_Matrix_new(&h->Al, n, m);
   GrB_Matrix_new(&Ab, n, m);
-  // A_L = A .* (A .<= delta); A_H = A .* (A .> delta)   (lines 15-21)
+
+  // A_L = A .* (A .<= delta)                          (lines 15-17)
   GrB_apply(Ab, GrB_NULL, GrB_NULL, h->op_delta_leq, h->A, GrB_NULL);
   GrB_apply(h->Al, Ab, GrB_NULL, GrB_IDENTITY_FP64, h->A, GrB_NULL);
+
+  // A_H = A .* (A .> delta)                           (lines 19-21)
   GrB_apply(Ab, GrB_NULL, GrB_NULL, h->op_delta_gt, h->A, h->clear_desc);
   GrB_apply(h->Ah, Ab, GrB_NULL, GrB_IDENTITY_FP64, h->A, GrB_NULL);
   GrB_Matrix_free(&Ab);
@@ -122,186 +131,21 @@ std::shared_ptr<CapiPlanHandles> build_capi_handles(
 
 }  // namespace
 
-SsspResult delta_stepping_capi(const grb::Matrix<double>& a_in, Index source,
-                               const DeltaSteppingOptions& options) {
-  check_sssp_inputs(a_in, source);
-  check_nonnegative_weights(a_in);
-  check_delta(options.delta);
-
-  const GrB_Index n = a_in.nrows();
-  const GrB_Index m = a_in.ncols();
-  SsspStats stats;
-
-  // Load the adjacency matrix into a C-API object.
-  GrB_Matrix A = nullptr;
-  GrB_Matrix_new(&A, n, m);
-  {
-    std::vector<GrB_Index> rows, cols;
-    std::vector<double> vals;
-    rows.reserve(a_in.nvals());
-    cols.reserve(a_in.nvals());
-    vals.reserve(a_in.nvals());
-    a_in.for_each([&](Index r, Index c, const double& w) {
-      rows.push_back(r);
-      cols.push_back(c);
-      vals.push_back(w);
-    });
-    GrB_Matrix_build_FP64(A, rows.data(), cols.data(), vals.data(),
-                          static_cast<GrB_Index>(vals.size()), GrB_NULL);
-  }
-
-  // ---- sssp_delta_step(A, d, src, &paths) — Fig. 2 line 1. ----------------
-  // Global scalars:                                  (lines 2-3)
-  delta_global = options.delta;
-
-  // Define operators, scalar, vectors, and matrices  (lines 4-5)
-  GrB_UnaryOp op_delta_leq = nullptr, op_delta_gt = nullptr;
-  GrB_UnaryOp op_delta_igeq = nullptr, op_delta_irange = nullptr;
-  GrB_UnaryOp_new(&op_delta_leq, delta_leq);
-  GrB_UnaryOp_new(&op_delta_gt, delta_gt);
-  GrB_UnaryOp_new(&op_delta_igeq, delta_igeq);
-  GrB_UnaryOp_new(&op_delta_irange, delta_irange);
-
-  GrB_Descriptor clear_desc = nullptr;  // the listing's `clear_desc`
-  GrB_Descriptor_new(&clear_desc);
-  GrB_Descriptor_set(clear_desc, GrB_OUTP, GrB_REPLACE);
-
-  GrB_Vector t = nullptr, tmasked = nullptr, tReq = nullptr;
-  GrB_Vector tless = nullptr, tB = nullptr, tgeq = nullptr, tcomp = nullptr;
-  GrB_Vector s = nullptr;
-  GrB_Vector_new(&t, n);
-  GrB_Vector_new(&tmasked, n);
-  GrB_Vector_new(&tReq, n);
-  GrB_Vector_new(&tless, n);
-  GrB_Vector_new(&tB, n);
-  GrB_Vector_new(&tgeq, n);
-  GrB_Vector_new(&tcomp, n);
-  GrB_Vector_new(&s, n);
-
-  // t[src] = 0                                        (line 8)
-  GrB_Vector_setElement_FP64(t, 0.0, source);
-
-  // Create A_L and A_H based on delta:                (lines 10-13)
-  GrB_Matrix Ah = nullptr, Al = nullptr, Ab = nullptr;
-  GrB_Matrix_new(&Ah, n, m);
-  GrB_Matrix_new(&Al, n, m);
-  GrB_Matrix_new(&Ab, n, m);
-
-  // A_L = A .* (A .<= delta)                          (lines 15-17)
-  GrB_apply(Ab, GrB_NULL, GrB_NULL, op_delta_leq, A, GrB_NULL);
-  GrB_apply(Al, Ab, GrB_NULL, GrB_IDENTITY_FP64, A, GrB_NULL);
-
-  // A_H = A .* (A .> delta)                           (lines 19-21)
-  GrB_apply(Ab, GrB_NULL, GrB_NULL, op_delta_gt, A, clear_desc);
-  GrB_apply(Ah, Ab, GrB_NULL, GrB_IDENTITY_FP64, A, GrB_NULL);
-
-  // init i = 0                                        (lines 23-24)
-  i_global = 0.0;
-
-  // Outer loop: while (t .>= i*delta) != 0 do         (lines 26-30)
-  GrB_Vector_apply(tgeq, GrB_NULL, GrB_NULL, op_delta_igeq, t, GrB_NULL);
-  GrB_Vector_apply(tcomp, tgeq, GrB_NULL, GrB_IDENTITY_BOOL, t, GrB_NULL);
-  GrB_Index tcomp_size = 0;
-  GrB_Vector_nvals(&tcomp_size, tcomp);
-  while (tcomp_size > 0) {
-    ++stats.outer_iterations;
-    // s = 0                                           (lines 31-32)
-    GrB_Vector_clear(s);
-
-    // tBi = (i*delta .<= t .< (i+1)*delta)            (lines 34-35)
-    GrB_Vector_apply(tB, GrB_NULL, GrB_NULL, op_delta_irange, t, clear_desc);
-    // t .* tBi                                        (lines 36-37)
-    GrB_Vector_apply(tmasked, tB, GrB_NULL, GrB_IDENTITY_FP64, t, clear_desc);
-
-    // Inner loop: while tBi != 0 do                   (lines 39-41)
-    GrB_Index tm_size = 0;
-    GrB_Vector_nvals(&tm_size, tmasked);
-    while (tm_size > 0) {
-      ++stats.light_phases;
-      stats.relax_requests += tm_size;
-      // tReq = A_L'(min.+)(t .* tBi)                  (lines 42-43)
-      GrB_vxm(tReq, GrB_NULL, GrB_NULL, GxB_MIN_PLUS_FP64, tmasked, Al,
-              clear_desc);
-      // s = s + tBi                                   (lines 44-45)
-      GrB_eWiseAdd(s, GrB_NULL, GrB_NULL, GrB_LOR, s, tB, GrB_NULL);
-
-      // tBi = (i*delta .<= tReq .< (i+1)*delta) .* (tReq .< t)
-      //                                               (lines 47-49)
-      GrB_eWiseAdd(tless, tReq, GrB_NULL, GrB_LT_FP64, tReq, t, clear_desc);
-      GrB_Vector_apply(tB, tless, GrB_NULL, op_delta_irange, tReq,
-                       clear_desc);
-
-      // t = min(t, tReq)                              (lines 51-52)
-      GrB_eWiseAdd(t, GrB_NULL, GrB_NULL, GrB_MIN_FP64, t, tReq, GrB_NULL);
-
-      GrB_Vector_apply(tmasked, tB, GrB_NULL, GrB_IDENTITY_FP64, t,
-                       clear_desc);                       // (line 54)
-      GrB_Vector_nvals(&tm_size, tmasked);                // (line 55)
-    }
-
-    // tReq = A_H'(min.+)(t .* s)                      (lines 58-60)
-    GrB_Vector_apply(tmasked, s, GrB_NULL, GrB_IDENTITY_FP64, t, clear_desc);
-    GrB_vxm(tReq, GrB_NULL, GrB_NULL, GxB_MIN_PLUS_FP64, tmasked, Ah,
-            clear_desc);
-
-    // t = min(t, tReq)                                (lines 62-63)
-    GrB_eWiseAdd(t, GrB_NULL, GrB_NULL, GrB_MIN_FP64, t, tReq, GrB_NULL);
-
-    // i = i+1                                         (lines 65-66)
-    i_global += 1.0;
-    GrB_Vector_apply(tgeq, GrB_NULL, GrB_NULL, op_delta_igeq, t, clear_desc);
-    GrB_Vector_apply(tcomp, tgeq, GrB_NULL, GrB_IDENTITY_BOOL, t, clear_desc);
-    GrB_Vector_nvals(&tcomp_size, tcomp);                 // (lines 67-69)
-  }
-
-  // Set the return paths                              (lines 72-73)
-  SsspResult result;
-  result.dist.assign(n, kInfDist);
-  {
-    GrB_Index count = 0;
-    GrB_Vector_nvals(&count, t);
-    std::vector<GrB_Index> indices(count);
-    std::vector<double> values(count);
-    GrB_Vector_extractTuples_FP64(indices.data(), values.data(), &count, t);
-    for (GrB_Index k = 0; k < count; ++k) {
-      result.dist[indices[k]] = values[k];
-    }
-  }
-  result.stats = stats;
-
-  // Cleanup (the listing returns the live vector; we copy and free).
-  GrB_Vector_free(&t);
-  GrB_Vector_free(&tmasked);
-  GrB_Vector_free(&tReq);
-  GrB_Vector_free(&tless);
-  GrB_Vector_free(&tB);
-  GrB_Vector_free(&tgeq);
-  GrB_Vector_free(&tcomp);
-  GrB_Vector_free(&s);
-  GrB_Matrix_free(&A);
-  GrB_Matrix_free(&Ab);
-  GrB_Matrix_free(&Al);
-  GrB_Matrix_free(&Ah);
-  GrB_Descriptor_free(&clear_desc);
-  GrB_UnaryOp_free(&op_delta_leq);
-  GrB_UnaryOp_free(&op_delta_gt);
-  GrB_UnaryOp_free(&op_delta_igeq);
-  GrB_UnaryOp_free(&op_delta_irange);
-  return result;
-}
-
 SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context&,
                                Index source, const ExecOptions& exec) {
   const GrB_Index n = plan.num_vertices();
   grb::detail::check_index(source, n, "sssp: source");
   SsspStats stats;
 
-  // The listing's setup, hoisted: operators, descriptor, A / A_L / A_H
-  // come prebuilt from the plan (built on first use, reused afterwards).
+  // ---- sssp_delta_step(A, d, src, &paths) — Fig. 2 line 1. ----------------
+  // Global scalars, operators, descriptor and A_L / A_H (lines 2-21) come
+  // from the plan: build_capi_handles replays those lines on first use and
+  // later calls reuse them.
   const auto& h = plan.derived<CapiPlanHandles>(
       [&] { return build_capi_handles(plan.matrix(), plan.delta()); });
   delta_global = plan.delta();  // the loop operators read the globals
 
+  // Define vectors                                    (lines 4-5)
   GrB_Vector t = nullptr, tmasked = nullptr, tReq = nullptr;
   GrB_Vector tless = nullptr, tB = nullptr, tgeq = nullptr, tcomp = nullptr;
   GrB_Vector s = nullptr;
@@ -318,11 +162,14 @@ SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context&,
   // t[src] = 0                                        (line 8)
   GrB_Vector_setElement_FP64(t, 0.0, source);
 
-  // init i = 0; loop (lines 23-69) — identical to the legacy body, plus the
-  // lifecycle poll at each bucket boundary (t is min-only: any cut is a
-  // valid upper bound, and the sparse extraction below fills the rest with
-  // +inf exactly as a completed run does for unreached vertices).
+  // init i = 0                                        (lines 23-24)
   i_global = 0.0;
+
+  // Outer loop: while (t .>= i*delta) != 0 do         (lines 26-30)
+  // Not in the listing: the lifecycle poll before the loop and at each
+  // bucket boundary.  t is min-only, so any cut is a valid upper bound,
+  // and the sparse extraction below fills the rest with +inf exactly as a
+  // completed run does for unreached vertices.
   GrB_Vector_apply(tgeq, GrB_NULL, GrB_NULL, h.op_delta_igeq, t, GrB_NULL);
   GrB_Vector_apply(tcomp, tgeq, GrB_NULL, GrB_IDENTITY_BOOL, t, GrB_NULL);
   GrB_Index tcomp_size = 0;
@@ -331,47 +178,63 @@ SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context&,
   while (status == SsspStatus::kComplete && tcomp_size > 0) {
     testing::fault_point("capi/round");
     ++stats.outer_iterations;
+    // s = 0                                           (lines 31-32)
     GrB_Vector_clear(s);
 
+    // tBi = (i*delta .<= t .< (i+1)*delta)            (lines 34-35)
     GrB_Vector_apply(tB, GrB_NULL, GrB_NULL, h.op_delta_irange, t,
                      h.clear_desc);
+    // t .* tBi                                        (lines 36-37)
     GrB_Vector_apply(tmasked, tB, GrB_NULL, GrB_IDENTITY_FP64, t,
                      h.clear_desc);
 
+    // Inner loop: while tBi != 0 do                   (lines 39-41)
     GrB_Index tm_size = 0;
     GrB_Vector_nvals(&tm_size, tmasked);
     while (tm_size > 0) {
       ++stats.light_phases;
       stats.relax_requests += tm_size;
+      // tReq = A_L'(min.+)(t .* tBi)                  (lines 42-43)
       GrB_vxm(tReq, GrB_NULL, GrB_NULL, GxB_MIN_PLUS_FP64, tmasked, h.Al,
               h.clear_desc);
+      // s = s + tBi                                   (lines 44-45)
       GrB_eWiseAdd(s, GrB_NULL, GrB_NULL, GrB_LOR, s, tB, GrB_NULL);
 
+      // tBi = (i*delta .<= tReq .< (i+1)*delta) .* (tReq .< t)
+      //                                               (lines 47-49)
       GrB_eWiseAdd(tless, tReq, GrB_NULL, GrB_LT_FP64, tReq, t, h.clear_desc);
       GrB_Vector_apply(tB, tless, GrB_NULL, h.op_delta_irange, tReq,
                        h.clear_desc);
 
+      // t = min(t, tReq)                              (lines 51-52)
       GrB_eWiseAdd(t, GrB_NULL, GrB_NULL, GrB_MIN_FP64, t, tReq, GrB_NULL);
 
       GrB_Vector_apply(tmasked, tB, GrB_NULL, GrB_IDENTITY_FP64, t,
-                       h.clear_desc);
-      GrB_Vector_nvals(&tm_size, tmasked);
+                       h.clear_desc);                     // (line 54)
+      GrB_Vector_nvals(&tm_size, tmasked);                // (line 55)
     }
 
+    // tReq = A_H'(min.+)(t .* s)                      (lines 58-60)
     GrB_Vector_apply(tmasked, s, GrB_NULL, GrB_IDENTITY_FP64, t, h.clear_desc);
     GrB_vxm(tReq, GrB_NULL, GrB_NULL, GxB_MIN_PLUS_FP64, tmasked, h.Ah,
             h.clear_desc);
+
+    // t = min(t, tReq)                                (lines 62-63)
     GrB_eWiseAdd(t, GrB_NULL, GrB_NULL, GrB_MIN_FP64, t, tReq, GrB_NULL);
 
+    // i = i+1                                         (lines 65-66)
     i_global += 1.0;
     GrB_Vector_apply(tgeq, GrB_NULL, GrB_NULL, h.op_delta_igeq, t,
                      h.clear_desc);
     GrB_Vector_apply(tcomp, tgeq, GrB_NULL, GrB_IDENTITY_BOOL, t,
                      h.clear_desc);
-    GrB_Vector_nvals(&tcomp_size, tcomp);
+    GrB_Vector_nvals(&tcomp_size, tcomp);                 // (lines 67-69)
     status = poll_control(exec.control);
   }
 
+  // Set the return paths                              (lines 72-73)
+  // The listing returns the live vector t; this copies it out densely and
+  // `guard` frees the vectors on return.
   SsspResult result;
   result.dist.assign(n, kInfDist);
   {
@@ -386,7 +249,6 @@ SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context&,
   }
   result.stats = stats;
   result.status = status;
-  // The vectors are freed by `guard` on return.
   return result;
 }
 

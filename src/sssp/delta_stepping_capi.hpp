@@ -18,20 +18,12 @@ class Context;
 
 namespace dsg {
 
-/// Runs the Fig. 2 listing.  Not thread-safe (the listing's operator state
-/// is global, as in the paper).  `options.profile` is ignored — the
-/// listing has no instrumentation hooks.
-///
-/// Unlike the other variants this legacy entry is NOT a plan shim: its body
-/// stays the literal transcription of the paper's published code, which is
-/// the point of its existence.
-SsspResult delta_stepping_capi(const grb::Matrix<double>& a, Index source,
-                               const DeltaSteppingOptions& options = {});
-
-/// Plan-based core: the listing's object/operator/matrix setup (lines 2-21)
-/// is built once and parked in the plan; each call replays only the loop
-/// (lines 23-73).  Still not thread-safe — the operator state is global —
+/// Runs the Fig. 2 listing against the plan.  The listing's
+/// operator/descriptor/matrix setup (lines 2-21) is built once and parked
+/// in the plan; each call replays only the loop (lines 23-73).  Not
+/// thread-safe: the listing's operator state is global, as in the paper,
 /// so the solver never batches this variant across threads.
+/// `exec.profile` is ignored — the listing has no instrumentation hooks.
 SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context& ctx,
                                Index source, const ExecOptions& exec = {});
 

@@ -160,27 +160,4 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
   return result;
 }
 
-SsspResult delta_stepping_fused(const grb::Matrix<double>& a, Index source,
-                                const DeltaSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  check_delta(options.delta);
-
-  // One-shot plan: borrowing is safe (the plan dies with this call).  The
-  // timer brackets only the A_L/A_H split materialization — the plan's
-  // validation scan replaces the old untimed check_nonnegative_weights
-  // pass, so stats.setup_seconds keeps its historical meaning (the
-  // Sec. VI-B "matrix filtering" share bench_phase_breakdown reports).
-  GraphPlan plan = GraphPlan::borrow(a, options.delta);
-  const auto setup_start = Clock::now();
-  plan.light_heavy();
-  const double setup_seconds = seconds_since(setup_start);
-
-  ExecOptions exec;
-  exec.profile = options.profile;
-  SsspResult result =
-      delta_stepping_fused(plan, grb::default_context(), source, exec);
-  result.stats.setup_seconds = setup_seconds;
-  return result;
-}
-
 }  // namespace dsg

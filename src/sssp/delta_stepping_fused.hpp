@@ -24,15 +24,10 @@ class Context;
 
 namespace dsg {
 
-/// Fused sequential delta-stepping from `source` over adjacency matrix `a`.
-/// One-shot: builds a throwaway plan per call.  Repeated-query callers
-/// should hold an sssp::SsspSolver (or a GraphPlan) instead.
-SsspResult delta_stepping_fused(const grb::Matrix<double>& a, Index source,
-                                const DeltaSteppingOptions& options = {});
-
-/// Plan-based core: executes against a prebuilt GraphPlan (weights already
-/// validated, A_L/A_H split already materialized) with `ctx`-owned warm
-/// buffers.  stats.setup_seconds is 0 here — the plan paid it once.
+/// Fused sequential delta-stepping from `source` against a prebuilt
+/// GraphPlan (weights already validated, A_L/A_H split already
+/// materialized) with `ctx`-owned warm buffers.  stats.setup_seconds is 0
+/// here — the plan paid it once.
 SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec = {});
 

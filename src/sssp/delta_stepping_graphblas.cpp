@@ -15,14 +15,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The Fig. 2 loop (lines 8 and 23-69) against prebuilt A_L / A_H.
-/// Shared by the plan-based core (plan-owned matrices) and the legacy
-/// entry (per-call double-apply setup, the idiom Fig. 3 measures).
+/// The Fig. 2 loop (lines 8 and 23-69) against the plan's A_L / A_H.
 SsspResult run_graphblas_loop(const grb::Matrix<double>& al,
                               const grb::Matrix<double>& ah, Index n,
                               double delta, grb::Context& ctx, Index source,
                               bool profile, const QueryControl* control) {
-  SsspStats stats;  // setup_seconds filled in by the caller (0 when planned)
+  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
   const auto minplus = grb::min_plus_semiring<double>();
 
   // t[src] = 0                                           (Fig. 2, line 8)
@@ -150,39 +148,6 @@ SsspResult delta_stepping_graphblas(const GraphPlan& plan, grb::Context& ctx,
   return run_graphblas_loop(plan.light_matrix(), plan.heavy_matrix(), n,
                             plan.delta(), ctx, source, exec.profile,
                             exec.control);
-}
-
-SsspResult delta_stepping_graphblas(const grb::Matrix<double>& a, Index source,
-                                    const DeltaSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  check_nonnegative_weights(a);
-  check_delta(options.delta);
-
-  const Index n = a.nrows();
-  const double delta = options.delta;
-  grb::Context& ctx = grb::default_context();
-
-  // Per-call A_L / A_H construction through GraphBLAS operations, exactly
-  // as the paper writes it and as Fig. 3 measures it: two GrB_apply calls
-  // per matrix — predicate -> boolean matrix, then identity under that
-  // matrix as a value mask (Fig. 2, lines 15-21).  Plan-holding callers
-  // (SsspSolver) skip this entirely.
-  const auto setup_start = Clock::now();
-  grb::Matrix<bool> ab(n, n);
-  grb::Matrix<double> al(n, n);
-  grb::Matrix<double> ah(n, n);
-  grb::apply(ab, grb::NoMask{}, grb::NoAccumulate{},
-             grb::LightEdgePredicate<double>{delta}, a);
-  grb::apply(al, ab, grb::NoAccumulate{}, grb::Identity<double>{}, a);
-  grb::apply(ab, grb::NoMask{}, grb::NoAccumulate{},
-             grb::GreaterThanThreshold<double>{delta}, a, grb::replace_desc);
-  grb::apply(ah, ab, grb::NoAccumulate{}, grb::Identity<double>{}, a);
-  const double setup_seconds = seconds_since(setup_start);
-
-  SsspResult result = run_graphblas_loop(al, ah, n, delta, ctx, source,
-                                         options.profile, nullptr);
-  result.stats.setup_seconds = setup_seconds;
-  return result;
 }
 
 }  // namespace dsg

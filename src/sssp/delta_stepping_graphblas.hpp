@@ -7,13 +7,11 @@
 // (tReq < t) comparison (Sec. V-B).  This is the *unfused* implementation
 // whose cost Fig. 3 compares against the fused C implementation.
 //
-// Both variants come in two forms:
-//   - the legacy one-shot free function (matrix + options), which keeps
-//     the paper's per-call A_L/A_H setup through GraphBLAS operations
-//     (double-apply here, fused select in the ablation) — this is what
-//     Fig. 3 / ABL-OPS measure, so the idiom stays in the measured path;
-//   - the plan-based core (GraphPlan + Context + source), which executes
-//     the same loop against prebuilt A_L/A_H and warm workspaces.
+// Both variants run against a GraphPlan: the plan builds A_L / A_H once
+// per graph (one pass over its CSR split) and each call executes only the
+// loop, with warm workspaces from the grb::Context.  The paper's per-call
+// double-apply A_L / A_H construction (Fig. 2, lines 15-21) is run and
+// timed by the C-API transcription (delta_stepping_capi.hpp).
 #pragma once
 
 #include "graphblas/matrix.hpp"
@@ -26,32 +24,24 @@ class Context;
 
 namespace dsg {
 
-/// Runs delta-stepping from `source` on adjacency matrix `a` (weights > 0)
-/// using only GraphBLAS operations.
+/// Runs delta-stepping from `source` against the plan using only
+/// GraphBLAS operations.
 ///
 /// Faithfulness notes:
-///  - A_L / A_H are built with two GrB_apply calls each (predicate then
-///    identity-under-mask), exactly like Fig. 2 lines 16-21; the plan-based
-///    core receives the same matrices prebuilt in one pass.
+///  - A_L / A_H are the plan's prebuilt split matrices (Fig. 2 lines
+///    15-21 build the same matrices with two GrB_apply calls each).
 ///  - The bucket filter, the (tReq < t) test and the S-set update use the
 ///    same apply / eWiseAdd sequence as Fig. 2 lines 35-54.
 ///  - Relaxations are vxm over the (min,+) semiring (lines 43 and 60).
-SsspResult delta_stepping_graphblas(const grb::Matrix<double>& a, Index source,
-                                    const DeltaSteppingOptions& options = {});
-
-/// Plan-based core of the above.  stats.setup_seconds is 0 here — the plan
-/// paid the A_L/A_H construction once.
+///
+/// stats.setup_seconds is 0 here — the plan paid the A_L/A_H construction
+/// once.
 SsspResult delta_stepping_graphblas(const GraphPlan& plan, grb::Context& ctx,
                                     Index source, const ExecOptions& exec = {});
 
 /// Variant using one fused grb::select per filter instead of the
 /// double-apply idiom — the "what if the API had first-class selection"
 /// ablation (still unfused across operations).  Used by ABL-OPS.
-SsspResult delta_stepping_graphblas_select(
-    const grb::Matrix<double>& a, Index source,
-    const DeltaSteppingOptions& options = {});
-
-/// Plan-based core of the select variant.
 SsspResult delta_stepping_graphblas_select(const GraphPlan& plan,
                                            grb::Context& ctx, Index source,
                                            const ExecOptions& exec = {});

@@ -18,14 +18,12 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The select-variant loop against prebuilt A_L / A_H.  Shared by the
-/// plan-based core (plan-owned matrices) and the legacy entry (per-call
-/// fused-select setup, the ABL-OPS idiom).
+/// The select-variant loop against the plan's A_L / A_H.
 SsspResult run_select_loop(const grb::Matrix<double>& al,
                            const grb::Matrix<double>& ah, Index n,
                            double delta, grb::Context& ctx, Index source,
                            bool profile, const QueryControl* control) {
-  SsspStats stats;  // setup_seconds filled in by the caller (0 when planned)
+  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
   const auto minplus = grb::min_plus_semiring<double>();
 
   grb::Vector<double> t(n);
@@ -114,33 +112,6 @@ SsspResult delta_stepping_graphblas_select(const GraphPlan& plan,
   return run_select_loop(plan.light_matrix(), plan.heavy_matrix(), n,
                          plan.delta(), ctx, source, exec.profile,
                          exec.control);
-}
-
-SsspResult delta_stepping_graphblas_select(
-    const grb::Matrix<double>& a, Index source,
-    const DeltaSteppingOptions& options) {
-  check_sssp_inputs(a, source);
-  check_nonnegative_weights(a);
-  check_delta(options.delta);
-
-  const Index n = a.nrows();
-  const double delta = options.delta;
-  grb::Context& ctx = grb::default_context();
-
-  // Per-call setup with one fused grb::select per filter instead of the
-  // double-apply idiom — the ABL-OPS comparison point.  Plan-holding
-  // callers (SsspSolver) skip this entirely.
-  const auto setup_start = Clock::now();
-  grb::Matrix<double> al(n, n);
-  grb::Matrix<double> ah(n, n);
-  grb::select(al, grb::LightEdgePredicate<double>{delta}, a);
-  grb::select(ah, grb::GreaterThanThreshold<double>{delta}, a);
-  const double setup_seconds = seconds_since(setup_start);
-
-  SsspResult result =
-      run_select_loop(al, ah, n, delta, ctx, source, options.profile, nullptr);
-  result.stats.setup_seconds = setup_seconds;
-  return result;
 }
 
 }  // namespace dsg

@@ -16,11 +16,6 @@ namespace dsg {
 
 #if !defined(DSG_HAVE_OPENMP)
 
-SsspResult delta_stepping_openmp(const grb::Matrix<double>& a, Index source,
-                                 const OpenMpOptions& options) {
-  return delta_stepping_fused(a, source, options);
-}
-
 SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context& ctx,
                                  Index source, const ExecOptions& exec) {
   return delta_stepping_fused(plan, ctx, source, exec);
@@ -40,37 +35,6 @@ constexpr Index kMinGrain = 1 << 15;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// One-sided CSR filter: rows of `a` with the predicate applied.  Runs as a
-/// single task, mirroring the paper's one-task-per-matrix split.
-template <typename Pred>
-void filter_csr(const grb::Matrix<double>& a, Pred pred,
-                std::vector<Index>& out_ptr, std::vector<Index>& out_ind,
-                std::vector<double>& out_val) {
-  const Index n = a.nrows();
-  auto row_ptr = a.row_ptr();
-  auto col_ind = a.col_ind();
-  auto values = a.raw_values();
-  out_ptr.assign(n + 1, 0);
-  for (Index r = 0; r < n; ++r) {
-    for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (pred(values[k])) ++out_ptr[r + 1];
-    }
-  }
-  for (Index r = 0; r < n; ++r) out_ptr[r + 1] += out_ptr[r];
-  out_ind.resize(out_ptr[n]);
-  out_val.resize(out_ptr[n]);
-  std::vector<Index> next(out_ptr.begin(), out_ptr.end() - 1);
-  for (Index r = 0; r < n; ++r) {
-    for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (pred(values[k])) {
-        const Index slot = next[r]++;
-        out_ind[slot] = col_ind[k];
-        out_val[slot] = values[k];
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -193,22 +157,16 @@ void tasked_for(Index n, int num_tasks, Body body) {
 
 }  // namespace
 
-namespace {
+SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context&,
+                                 Index source, const ExecOptions& exec) {
+  const Index n = plan.num_vertices();
+  grb::detail::check_index(source, n, "sssp: source");
+  const double delta = plan.delta();
+  const detail::LightHeavySplit& split = plan.light_heavy();
+  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
 
-/// Shared task-parallel body.  When `prebuilt` is non-null the A_L/A_H
-/// construction tasks are skipped and the prebuilt split (from a GraphPlan)
-/// is used — inputs must already be validated by the caller.
-SsspResult delta_stepping_openmp_impl(
-    const grb::Matrix<double>& a, Index source, const OpenMpOptions& options,
-    const detail::LightHeavySplit* prebuilt, const QueryControl* control) {
-  const Index n = a.nrows();
-  const double delta = options.delta;
-  SsspStats stats;
+  if (exec.num_threads > 0) omp_set_num_threads(exec.num_threads);
 
-  if (options.num_threads > 0) omp_set_num_threads(options.num_threads);
-
-  detail::LightHeavySplit local_split;
-  const detail::LightHeavySplit& split = prebuilt ? *prebuilt : local_split;
   std::vector<double> t_vec(n, kInfDist);
   std::vector<double> treq_vec(n, kInfDist);
   std::vector<unsigned char> s_vec(n, 0);
@@ -224,31 +182,15 @@ SsspResult delta_stepping_openmp_impl(
   // Cancellation/deadline need no throw: the single-executor thread polls
   // at bucket boundaries and falls out of the loop cleanly (t is min-only,
   // so the cut is a valid upper bound).
-  SsspStatus status = poll_control(control);
+  SsspStatus status = poll_control(exec.control);
   std::exception_ptr error;
 
 #pragma omp parallel
 #pragma omp single
   {
     try {
-    int num_tasks = options.tasks_per_vector;
+    int num_tasks = exec.tasks_per_vector;
     if (num_tasks <= 0) num_tasks = omp_get_num_threads();
-
-    // --- A_L and A_H construction: one task each (paper Sec. VI-C).
-    // Skipped entirely when a GraphPlan supplied the split. ---------------
-    if (!prebuilt) {
-      auto setup_start = Clock::now();
-#pragma omp task shared(local_split, a)
-      filter_csr(
-          a, [delta](double w) { return w > 0.0 && w <= delta; },
-          local_split.light_ptr, local_split.light_ind, local_split.light_val);
-#pragma omp task shared(local_split, a)
-      filter_csr(
-          a, [delta](double w) { return w > delta; }, local_split.heavy_ptr,
-          local_split.heavy_ind, local_split.heavy_val);
-#pragma omp taskwait
-      stats.setup_seconds = seconds_since(setup_start);
-    }
 
     std::vector<std::vector<Index>> parts(
         static_cast<std::size_t>(num_tasks) + 1);
@@ -290,7 +232,7 @@ SsspResult delta_stepping_openmp_impl(
         ++used;
       });
       gather_parts(used, frontier);
-      if (options.profile) stats.vector_seconds += seconds_since(vec_start);
+      if (exec.profile) stats.vector_seconds += seconds_since(vec_start);
 
       while (!frontier.empty()) {
         ++stats.light_phases;
@@ -300,7 +242,7 @@ SsspResult delta_stepping_openmp_impl(
         // the matrix-vector operation is its "future work").
         auto light_start = Clock::now();
         push_light(split, t, treq, frontier, touched);
-        if (options.profile) stats.light_seconds += seconds_since(light_start);
+        if (exec.profile) stats.light_seconds += seconds_since(light_start);
 
         // Fused tB/S/t update: S from the old frontier, then a tasked
         // sweep over the touched set.
@@ -316,7 +258,7 @@ SsspResult delta_stepping_openmp_impl(
                      ++used;
                    });
         gather_parts(used, frontier);
-        if (options.profile) stats.vector_seconds += seconds_since(vec_start);
+        if (exec.profile) stats.vector_seconds += seconds_since(vec_start);
       }
 
       // Heavy relaxation: the settled-set scan is point-wise vector work
@@ -332,10 +274,10 @@ SsspResult delta_stepping_openmp_impl(
       std::vector<Index> settled;
       gather_parts(used, settled);
       push_heavy(split, settled, t);
-      if (options.profile) stats.heavy_seconds += seconds_since(heavy_start);
+      if (exec.profile) stats.heavy_seconds += seconds_since(heavy_start);
 
       ++i;
-      status = poll_control(control);
+      status = poll_control(exec.control);
     }
     } catch (...) {
       error = std::current_exception();
@@ -349,28 +291,6 @@ SsspResult delta_stepping_openmp_impl(
   result.stats = stats;
   result.status = status;
   return result;
-}
-
-}  // namespace
-
-SsspResult delta_stepping_openmp(const grb::Matrix<double>& a, Index source,
-                                 const OpenMpOptions& options) {
-  check_sssp_inputs(a, source);
-  check_nonnegative_weights(a);
-  check_delta(options.delta);
-  return delta_stepping_openmp_impl(a, source, options, nullptr, nullptr);
-}
-
-SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context&,
-                                 Index source, const ExecOptions& exec) {
-  grb::detail::check_index(source, plan.num_vertices(), "sssp: source");
-  OpenMpOptions options;
-  options.delta = plan.delta();
-  options.profile = exec.profile;
-  options.num_threads = exec.num_threads;
-  options.tasks_per_vector = exec.tasks_per_vector;
-  return delta_stepping_openmp_impl(plan.matrix(), source, options,
-                                    &plan.light_heavy(), exec.control);
 }
 
 #endif  // DSG_HAVE_OPENMP

@@ -1,18 +1,18 @@
 // delta_stepping_openmp.hpp — OpenMP task-parallel fused delta-stepping,
-// reproducing the parallelization scheme of paper Sec. VI-C:
+// following the parallelization scheme of paper Sec. VI-C:
 //
-//   - the constructions of A_L and A_H are *one task each* (deliberately
-//     coarse — the paper identifies exactly this as the scaling limiter:
-//     "Because each matrix is allocated to a single task, benefits of using
-//     more than two threads do not extend to these costly operations");
 //   - point-wise vector work (bucket filtering, the fused tB/S/t update,
 //     the outer-loop condition) is split into evenly-sized index-range
 //     tasks;
 //   - the (min,+) vector-matrix products stay sequential, as in the paper
 //     (parallelizing them is listed as future work).
 //
-// Fig. 4 reports ~1.44x at 2 threads and ~1.5x at 4 threads over the fused
-// sequential implementation.
+// The paper also builds A_L and A_H as one task each and names that as the
+// scaling limiter ("Because each matrix is allocated to a single task,
+// benefits of using more than two threads do not extend to these costly
+// operations").  Here the split comes prebuilt from the GraphPlan, so that
+// limiter is amortized away; Fig. 4 reports ~1.44x at 2 threads and ~1.5x
+// at 4 threads over the fused sequential implementation.
 #pragma once
 
 #include "graphblas/matrix.hpp"
@@ -25,27 +25,11 @@ class Context;
 
 namespace dsg {
 
-struct OpenMpOptions : DeltaSteppingOptions {
-  /// Number of OpenMP threads; 0 = library default.
-  int num_threads = 0;
-  /// Number of evenly-sized tasks a vector pass is split into; 0 = one task
-  /// per thread.
-  int tasks_per_vector = 0;
-};
-
-/// Task-parallel fused delta-stepping.  Falls back to the sequential fused
-/// implementation when built without OpenMP.
-///
-/// This legacy entry keeps the paper's full Sec. VI-C structure including
-/// the one-task-per-matrix A_L/A_H construction (it is what Fig. 4
-/// measures); the plan-based overload below skips that step entirely.
-SsspResult delta_stepping_openmp(const grb::Matrix<double>& a, Index source,
-                                 const OpenMpOptions& options = {});
-
-/// Plan-based core: executes the task-parallel loop against a prebuilt
-/// GraphPlan (split already materialized — the scaling limiter the paper
-/// identifies is amortized away).  exec.num_threads / exec.tasks_per_vector
-/// map onto OpenMpOptions.  stats.setup_seconds is 0 here.
+/// Task-parallel fused delta-stepping against a prebuilt GraphPlan.
+/// exec.num_threads sets the OpenMP thread count (0 = library default) and
+/// exec.tasks_per_vector the number of evenly-sized tasks a vector pass is
+/// split into (0 = one per thread).  stats.setup_seconds is 0 here.  Runs
+/// the sequential fused core when built without OpenMP.
 SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context& ctx,
                                  Index source, const ExecOptions& exec = {});
 

@@ -18,16 +18,14 @@ using HeapEntry = std::pair<double, Index>;
 /// cancel latency low, rare enough not to tax steady_clock).
 constexpr std::uint64_t kPollStride = 1024;
 
-/// Core; inputs must be validated by the caller (the public wrappers
-/// validate per call, the plan-based entry relies on the plan's one-time
+/// Core; inputs must be validated by the caller (the oracle entry
+/// validates per call, the plan-based entry relies on the plan's one-time
 /// validation).
 SsspResult dijkstra_impl(const grb::Matrix<double>& a, Index source,
-                         std::vector<Index>* parent,
                          const QueryControl* control) {
   const Index n = a.nrows();
   SsspResult result;
   result.dist.assign(n, kInfDist);
-  if (parent) parent->assign(n, grb::all_indices);
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   result.dist[source] = 0.0;
@@ -53,7 +51,6 @@ SsspResult dijkstra_impl(const grb::Matrix<double>& a, Index source,
       ++result.stats.relax_requests;
       if (cand < result.dist[v]) {
         result.dist[v] = cand;
-        if (parent) (*parent)[v] = u;
         heap.push({cand, v});
       }
     }
@@ -66,21 +63,14 @@ SsspResult dijkstra_impl(const grb::Matrix<double>& a, Index source,
 
 SsspResult dijkstra(const grb::Matrix<double>& a, Index source) {
   check_sssp_inputs(a, source);
-  check_nonnegative_weights(a);
-  return dijkstra_impl(a, source, nullptr, nullptr);
+  a.for_each([](Index, Index, const double& w) { check_edge_weight(w); });
+  return dijkstra_impl(a, source, nullptr);
 }
 
 SsspResult dijkstra(const GraphPlan& plan, grb::Context&, Index source,
                     const ExecOptions& exec) {
   grb::detail::check_index(source, plan.num_vertices(), "sssp: source");
-  return dijkstra_impl(plan.matrix(), source, nullptr, exec.control);
-}
-
-SsspResult dijkstra_with_parents(const grb::Matrix<double>& a, Index source,
-                                 std::vector<Index>& parent) {
-  check_sssp_inputs(a, source);
-  check_nonnegative_weights(a);
-  return dijkstra_impl(a, source, &parent, nullptr);
+  return dijkstra_impl(plan.matrix(), source, exec.control);
 }
 
 }  // namespace dsg

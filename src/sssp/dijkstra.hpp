@@ -14,18 +14,14 @@ class Context;
 
 namespace dsg {
 
-/// Binary-heap Dijkstra from `source`; weights must be non-negative.
+/// Binary-heap Dijkstra from `source` on a raw matrix: the test and
+/// example oracle, independent of GraphPlan.  Validates per call (square,
+/// non-empty, in-range source, check_edge_weight on every weight).
 SsspResult dijkstra(const grb::Matrix<double>& a, Index source);
 
 /// Plan-based entry (solver registry): skips the per-call O(|E|)
 /// non-negativity re-validation — the plan did it once.
 SsspResult dijkstra(const GraphPlan& plan, grb::Context& ctx, Index source,
                     const ExecOptions& exec = {});
-
-/// Dijkstra that also records a shortest-path tree: parent[v] is the
-/// predecessor of v on a shortest path, or grb::all_indices for the source
-/// and unreachable vertices.
-SsspResult dijkstra_with_parents(const grb::Matrix<double>& a, Index source,
-                                 std::vector<Index>& parent);
 
 }  // namespace dsg

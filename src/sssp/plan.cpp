@@ -125,19 +125,6 @@ GraphPlan::GraphPlan(std::shared_ptr<const grb::Matrix<double>> a,
   init(delta);
 }
 
-GraphPlan::GraphPlan(Borrowed, const grb::Matrix<double>& a, double delta)
-    // Aliasing shared_ptr with no ownership: the caller guarantees
-    // lifetime (legacy one-shot shims).
-    : a_(std::shared_ptr<const grb::Matrix<double>>(
-          std::shared_ptr<const void>(), &a)),
-      lazy_(std::make_unique<Lazy>()) {
-  init(delta);
-}
-
-GraphPlan GraphPlan::borrow(const grb::Matrix<double>& a, double delta) {
-  return GraphPlan(Borrowed{}, a, delta);
-}
-
 GraphPlan::GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
                      double delta, bool delta_was_auto,
                      const PlanStats& stats)
@@ -183,6 +170,13 @@ std::uint64_t GraphPlan::fingerprint() const {
 
 void GraphPlan::init(double delta) {
   const auto start = Clock::now();
+  // The one Δ check of the library.  A finite Δ <= 0 means kAutoDelta; a
+  // non-finite one is an error (+inf would make the bucket bounds
+  // 0 * inf = NaN), matching the plan-file loader.
+  if (!std::isfinite(delta)) {
+    throw grb::InvalidValue("sssp: delta must be finite, got " +
+                            std::to_string(delta));
+  }
   const grb::Matrix<double>& a = *a_;
   if (a.nrows() != a.ncols()) {
     throw grb::DimensionMismatch("sssp: adjacency matrix must be square");
@@ -205,20 +199,14 @@ void GraphPlan::init(double delta) {
   double max_w = 0.0;
   double min_pos = 0.0;
   a.for_each([&](Index, Index, const double& w) {
-    // !(isfinite && >= 0) rather than (w < 0): NaN compares false against
-    // everything, so a plain negativity test waves NaN weights through
-    // into the relaxation loop, where min(NaN, d) poisons distances.
-    if (!(std::isfinite(w) && w >= 0.0)) {
-      throw grb::InvalidValue("sssp: non-finite or negative edge weight " +
-                              std::to_string(w));
-    }
+    check_edge_weight(w);
     if (w > max_w) max_w = w;
     if (w > 0.0 && (min_pos == 0.0 || w < min_pos)) min_pos = w;
   });
   stats_.max_weight = max_w;
   stats_.min_positive_weight = min_pos;
 
-  delta_was_auto_ = !(delta > 0.0);
+  delta_was_auto_ = delta <= 0.0;
   delta_ = delta_was_auto_ ? auto_delta(stats_) : delta;
   scan_seconds_ = seconds_since(start);
 #ifdef DSG_AUDIT_INVARIANTS

@@ -11,8 +11,9 @@
 //   - construction scans the matrix once: validates non-negative weights
 //     (throws grb::InvalidValue otherwise) and collects the degree/weight
 //     statistics that drive the auto-Δ heuristic;
-//   - Δ is fixed at construction — pass kAutoDelta (or any value <= 0) to
-//     let the Meyer–Sanders-style heuristic pick it from the stats;
+//   - Δ is fixed at construction — pass kAutoDelta (or any finite value
+//     <= 0) to let the Meyer–Sanders-style heuristic pick it from the
+//     stats; a non-finite Δ throws grb::InvalidValue;
 //   - the light/heavy CSR split, its grb::Matrix form, and any
 //     algorithm-specific derived state (e.g. the C-API matrix handles) are
 //     materialized lazily through a mutex-guarded type-keyed cache, so a
@@ -20,9 +21,7 @@
 //     materialization all accessors are const reads, safe to share across
 //     the threads of a batched solve.
 //
-// A plan either owns its matrix (move a Matrix in, or share a shared_ptr)
-// or borrows it (GraphPlan::borrow — used by the legacy one-shot shims,
-// where the plan provably outlives the call).
+// A plan owns its matrix: move a Matrix in, or share a shared_ptr.
 #pragma once
 
 #include <chrono>
@@ -98,18 +97,14 @@ struct PlanStats {
 
 class GraphPlan {
  public:
-  /// Owning constructors: the plan keeps the matrix alive.
+  /// Owning constructors: the plan keeps the matrix alive.  Throws
+  /// grb::InvalidValue / grb::DimensionMismatch on an invalid graph
+  /// (negative or non-finite weight, non-square, empty) or a non-finite Δ.
   explicit GraphPlan(grb::Matrix<double> a, double delta = kAutoDelta)
       : GraphPlan(std::make_shared<const grb::Matrix<double>>(std::move(a)),
                   delta) {}
   explicit GraphPlan(std::shared_ptr<const grb::Matrix<double>> a,
                      double delta = kAutoDelta);
-
-  /// Borrowing factory: the caller guarantees `a` outlives the plan.  Used
-  /// by the legacy one-shot entry points; prefer the owning constructors
-  /// for long-lived plans.
-  static GraphPlan borrow(const grb::Matrix<double>& a,
-                          double delta = kAutoDelta);
 
   GraphPlan(GraphPlan&&) noexcept = default;
   GraphPlan& operator=(GraphPlan&&) noexcept = default;
@@ -195,9 +190,6 @@ class GraphPlan {
 
  private:
   friend class serving::PlanIo;
-
-  struct Borrowed {};  // tag: non-owning shared_ptr
-  GraphPlan(Borrowed, const grb::Matrix<double>& a, double delta);
 
   /// Trusted-deserialization constructor (serving::PlanIo only): adopts
   /// checksum-verified stats and Δ without re-running the O(|E|)

@@ -130,25 +130,16 @@ SsspSolver::SsspSolver(std::shared_ptr<const grb::Matrix<double>> graph,
   warm_plan(plan_, options_.algorithm);
 }
 
-ExecOptions SsspSolver::exec_options() const {
-  ExecOptions exec;
-  exec.profile = options_.profile;
-  exec.num_threads = options_.num_threads;
-  exec.tasks_per_vector = options_.tasks_per_vector;
-  exec.rho = options_.rho;
-  return exec;
-}
-
 SsspResult SsspSolver::solve(Index source) {
   const AlgorithmInfo& info = algorithm_info(options_.algorithm);
   testing::fault_point("solver/solve");
-  return info.run(plan_, ctx_, source, exec_options());
+  return info.run(plan_, ctx_, source, options_.exec);
 }
 
 SsspResult SsspSolver::solve(Index source, const QueryControl& control) {
   const AlgorithmInfo& info = algorithm_info(options_.algorithm);
   testing::fault_point("solver/solve");
-  ExecOptions exec = exec_options();
+  ExecOptions exec = options_.exec;
   exec.control = &control;
   return info.run(plan_, ctx_, source, exec);
 }
@@ -176,8 +167,8 @@ std::vector<QueryResult> SsspSolver::solve_batch(
   }
 
   const AlgorithmInfo& info = algorithm_info(options_.algorithm);
-  ExecOptions exec = exec_options();
-  exec.control = batch.control;
+  ExecOptions exec = options_.exec;
+  if (batch.control) exec.control = batch.control;
   std::vector<QueryResult> results(sources.size());
 
   // Per-query body: every exception stays inside its own slot.  The fault
@@ -211,8 +202,8 @@ std::vector<QueryResult> SsspSolver::solve_batch(
     // independent deterministic run, so results match the serial loop
     // bit-for-bit.  Exceptions cannot cross the region: run_one contains
     // each inside its query's slot.
-    const int threads = options_.num_threads > 0
-                            ? options_.num_threads
+    const int threads = options_.exec.num_threads > 0
+                            ? options_.exec.num_threads
                             : omp_get_max_threads();
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
     for (std::int64_t k = 0;

@@ -1,10 +1,7 @@
 // solver.hpp — sssp::SsspSolver, the plan/execute front door of the SSSP
 // family.
 //
-// The seven algorithm variants used to be seven free functions, each
-// re-deriving per-call state (weight validation, the A_L/A_H Δ-split,
-// workspace allocation) on every invocation.  The solver splits that into
-// the classic plan/execute shape:
+// The solver has the classic plan/execute shape:
 //
 //   construction  = plan: validate the graph once, pick Δ (explicitly or
 //                   via the degree-stats heuristic), build the splits the
@@ -17,9 +14,9 @@
 //   solve_with_paths() = execute + recover the shortest-path tree.
 //
 // Algorithm choice is data, not code: the Algorithm enum + registry map
-// over the existing variants, so callers (and the v2 C API) can select by
-// value or by name.  Each registry entry runs the plan-based core of its
-// variant; results are identical to the legacy free functions.
+// over the variants, so callers (and the v2 C API) can select by value or
+// by name.  Each registry entry is the one body of its variant, with the
+// signature (const GraphPlan&, grb::Context&, Index, const ExecOptions&).
 //
 // A solver is single-owner: not copyable, not thread-safe for concurrent
 // solve() calls on the same instance (it owns one Context).  solve_batch
@@ -110,18 +107,14 @@ Algorithm auto_algorithm(const GraphPlan& plan);
 /// Solver construction options.
 struct SolverOptions {
   Algorithm algorithm = Algorithm::kFused;
-  /// Bucket width Δ; <= 0 (kAutoDelta) selects it from the plan's degree
-  /// statistics.  Ignored by kBellmanFord / kDijkstra.
+  /// Bucket width Δ; a finite value <= 0 (kAutoDelta) selects it from the
+  /// plan's degree statistics, a non-finite one throws grb::InvalidValue.
+  /// Ignored by kBellmanFord / kDijkstra.
   double delta = kAutoDelta;
-  /// Collect per-phase timers in SsspStats (small overhead).
-  bool profile = false;
-  /// Thread count for the kOpenmp variant and for batched execution
-  /// (0 = library default).
-  int num_threads = 0;
-  /// Tasks per vector pass for the kOpenmp variant (0 = one per thread).
-  int tasks_per_vector = 0;
-  /// Per-round batch-size target for kRhoStepping (0 = max(64, n/8)).
-  Index rho = 0;
+  /// Per-solve options handed to every run.  exec.num_threads also caps
+  /// the source-level fan-out of solve_batch; a control passed to solve()
+  /// or through BatchOptions overrides exec.control.
+  ExecOptions exec{};
 };
 
 /// Distances plus the recovered shortest-path tree.
@@ -162,8 +155,9 @@ class SsspSolver {
  public:
   /// Owning constructors: move a matrix in (or share one via shared_ptr)
   /// and the plan keeps it alive.  Throws grb::InvalidValue /
-  /// grb::DimensionMismatch on invalid graphs (negative weights,
-  /// non-square, empty) — solve() itself cannot fail on graph shape.
+  /// grb::DimensionMismatch on invalid graphs (negative or non-finite
+  /// weights, non-square, empty) or a non-finite Δ — solve() itself cannot
+  /// fail on graph shape.
   explicit SsspSolver(grb::Matrix<double> graph, SolverOptions options = {});
   explicit SsspSolver(std::shared_ptr<const grb::Matrix<double>> graph,
                       SolverOptions options = {});
@@ -210,8 +204,6 @@ class SsspSolver {
   SsspPathResult solve_with_paths(Index source);
 
  private:
-  ExecOptions exec_options() const;
-
   GraphPlan plan_;
   SolverOptions options_;
   grb::Context ctx_;

@@ -83,6 +83,7 @@ void fault_point(const char* name, std::uint64_t key) {
 
   FaultSpec::Action action{};
   std::chrono::microseconds delay{};
+  std::function<void()> callback;
   bool fire = false;
   {
     std::lock_guard<std::mutex> lock(g_mutex);
@@ -94,6 +95,7 @@ void fault_point(const char* name, std::uint64_t key) {
         fire = true;
         action = spec.action;
         delay = spec.delay;
+        callback = spec.callback;
         break;
       }
     }
@@ -104,6 +106,9 @@ void fault_point(const char* name, std::uint64_t key) {
       throw std::bad_alloc();
     case FaultSpec::Action::kDelay:
       std::this_thread::sleep_for(delay);
+      break;
+    case FaultSpec::Action::kCallback:
+      if (callback) callback();
       break;
   }
 }

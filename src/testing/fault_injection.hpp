@@ -9,9 +9,10 @@
 // When no faults are installed (the default, and always in production)
 // a fault point is one relaxed atomic load and a branch.  Tests install a
 // fault table — a list of FaultSpec triggers — and every hit of a matching
-// point deterministically either throws std::bad_alloc (allocation-failure
-// injection) or sleeps (delay injection, to widen race windows and force
-// deadlines to fire mid-run).
+// point deterministically throws std::bad_alloc (allocation-failure
+// injection), sleeps (delay injection, to widen race windows and force
+// deadlines to fire mid-run) or runs a test callback (e.g. cancelling the
+// running query at an exact round).
 //
 // Determinism: triggers fire from pure data — the installed seed, the
 // point name, the per-point hit index, and the caller-supplied key — never
@@ -31,6 +32,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -53,10 +55,13 @@ struct FaultSpec {
   /// independent targeting, e.g. "fail the query whose source is 5").
   std::int64_t with_key = -1;
 
-  enum class Action { kThrowBadAlloc, kDelay };
+  enum class Action { kThrowBadAlloc, kDelay, kCallback };
   Action action = Action::kThrowBadAlloc;
   /// Sleep length for kDelay.
   std::chrono::microseconds delay{200};
+  /// Run by kCallback on the thread that hit the point, outside the fault
+  /// table's lock — e.g. a test cancelling its own query at an exact round.
+  std::function<void()> callback;
 };
 
 /// Installs a fault table (replacing any previous one) and starts

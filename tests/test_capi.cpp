@@ -8,6 +8,7 @@
 #include "capi/graphblas.h"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
+#include "sssp/delta_stepping_capi.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -225,8 +226,8 @@ TEST(CapiReduce, SumWithMonoidIdentity) {
 // --- The Fig. 2 transcription, end to end. --------------------------------------
 
 TEST(CapiDeltaStepping, SolvesTheHandComputedDiamond) {
-  auto r = dsg::delta_stepping_capi(dsg::test::diamond_graph().to_matrix(), 0,
-                                    {});
+  const dsg::GraphPlan plan(dsg::test::diamond_graph().to_matrix(), 1.0);
+  auto r = dsg::delta_stepping_capi(plan, grb::default_context(), 0);
   dsg::test::expect_distances(r.dist, dsg::test::diamond_distances_from_0(),
                               "capi diamond");
 }
@@ -239,9 +240,8 @@ TEST(CapiDeltaStepping, MatchesDijkstraAcrossGraphsAndDeltas) {
     auto a = g.to_matrix();
     auto ref = dsg::dijkstra(a, 0);
     for (double delta : {0.5, 1.0, 5.0}) {
-      dsg::DeltaSteppingOptions opt;
-      opt.delta = delta;
-      auto r = dsg::delta_stepping_capi(a, 0, opt);
+      const dsg::GraphPlan plan(grb::Matrix<double>(a), delta);
+      auto r = dsg::delta_stepping_capi(plan, grb::default_context(), 0);
       auto cmp = dsg::compare_distances(ref.dist, r.dist, 1e-9);
       EXPECT_TRUE(cmp.ok) << "seed " << seed << " delta " << delta << ": "
                           << cmp.message;
@@ -253,9 +253,8 @@ TEST(CapiDeltaStepping, MatchesDijkstraAcrossGraphsAndDeltas) {
 
 TEST(CapiDeltaStepping, StatsMatchTemplateImplementation) {
   auto g = dsg::generate_grid2d(16, 16);
-  auto a = g.to_matrix();
-  dsg::DeltaSteppingOptions opt;
-  auto capi = dsg::delta_stepping_capi(a, 0, opt);
+  const dsg::GraphPlan plan(g.to_matrix(), 1.0);
+  auto capi = dsg::delta_stepping_capi(plan, grb::default_context(), 0);
   // The transcription runs the same abstract algorithm, so its bucket and
   // phase counts must agree with the template GraphBLAS implementation.
   EXPECT_EQ(capi.stats.outer_iterations, 31u);  // grid diameter 30 -> 31

@@ -116,6 +116,33 @@ TEST(Mxm, KTrussStyleMaskEliminatesFillIn) {
   EXPECT_FALSE(masked.has_element(2, 3));
 }
 
+TEST(Mxm, TriangleCountIdiom) {
+  // Sandia-style triangle count: with L the strictly lower pattern,
+  // sum(L .* (L L)) counts each triangle once.  Pins the masked product
+  // without a transpose descriptor, reduced to a scalar.
+  grb::Matrix<double> a(5, 5);
+  auto set_sym = [&](Index i, Index j) {
+    a.set_element(i, j, 1.0);
+    a.set_element(j, i, 1.0);
+  };
+  // A 4-clique {0,1,2,3} (4 triangles) plus a pendant edge 3-4.
+  for (Index i = 0; i < 4; ++i) {
+    for (Index j = i + 1; j < 4; ++j) set_sym(i, j);
+  }
+  set_sym(3, 4);
+  grb::Matrix<double> lower(5, 5);
+  grb::select(lower, grb::TriLower{-1}, a);
+  grb::Matrix<double> closed(5, 5);
+  grb::mxm(closed, lower, grb::NoAccumulate{},
+           grb::plus_times_semiring<double>(), lower, lower,
+           grb::replace_desc);
+  EXPECT_DOUBLE_EQ(grb::reduce(grb::plus_monoid<double>(), closed), 4.0);
+  // The mask kept only positions of L: no fill-in outside it.
+  closed.for_each([&](Index i, Index j, double) {
+    EXPECT_TRUE(lower.has_element(i, j)) << i << "," << j;
+  });
+}
+
 TEST(Mxm, AccumAddsIntoExisting) {
   auto a = random_matrix(3, 3, 6, 0.6);
   grb::Matrix<double> c(3, 3);

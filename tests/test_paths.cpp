@@ -32,9 +32,7 @@ TEST(RecoverParents, WorksOnDeltaSteppingOutput) {
   dsg::assign_uniform_weights(g, 0.2, 3.0, 4);
   g.normalize();
   auto a = g.to_matrix();
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto r = dsg::delta_stepping_fused(a, 0, opt);
+  auto r = dsg::sssp::SsspSolver(a, {.delta = 1.0}).solve(0);
   auto parent = dsg::recover_parents(a, 0, r.dist);
   // Following parents from any vertex reaches the source.
   for (Index v = 0; v < 150; ++v) {

@@ -9,9 +9,10 @@
 // meaning "not reached yet".  The oracle is a self-validated Dijkstra.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <vector>
 
+#include "graph/generators.hpp"
+#include "graph/weights.hpp"
 #include "sssp/solver.hpp"
 #include "test_support.hpp"
 #include "testing/fault_injection.hpp"
@@ -176,50 +177,55 @@ TEST(QueryLifecycle, SolverIsReusableAfterInterruption) {
 
 // --- Mid-run interruption on the threaded variants. --------------------------
 //
-// Delay injection at the round fault points stretches every round, and a
-// watcher thread cancels as soon as the first round is observed
-// (fault_point_hits is schedule-independent evidence that the solve is
-// mid-run).  The run must come back kCancelled — i.e. the cancel was
-// observed at a round boundary, not after running to completion — with
-// valid partial upper bounds.
+// A kCallback fault at the round fault point cancels the query from inside
+// its own run, on a fixed hit index (counted by the fault table, so it does
+// not depend on thread scheduling).  The run must come back kCancelled —
+// the cancel was observed at a round boundary, not after running to
+// completion — with valid partial upper bounds.  The graph is a 64x64 grid
+// with weights 1..5 and rho_stepping runs with rho = 1, so every variant
+// needs many rounds: on a unit-weight path rho_stepping finishes in one
+// round, which leaves no mid-run window.  The test pins that window.
 
 struct MidRunCase {
   Algorithm algorithm;
-  const char* round_point;  // the fault point to delay and watch
+  const char* round_point;  // the fault point that cancels
 };
 
 void check_mid_run_cancel(const MidRunCase& c) {
-  const auto g = dsg::test::path_graph(2000);
+  auto g = dsg::generate_grid2d(64, 64);
+  dsg::assign_integer_weights(g, 1, 5, /*seed=*/3);
   const auto a = g.to_matrix();
-  dsg::testing::FaultSpec slow;
-  slow.point = c.round_point;
-  slow.one_in = 1;
-  slow.action = dsg::testing::FaultSpec::Action::kDelay;
-  slow.delay = std::chrono::microseconds(500);
-  dsg::testing::ScopedFaults faults(/*seed=*/7, {slow});
+  SolverOptions options;
+  options.algorithm = c.algorithm;
+  options.delta = 1.0;
+  options.exec.rho = 1;  // read by rho_stepping only
+  SsspSolver solver(a, options);
 
-  SsspSolver solver = make_solver(c.algorithm, g, /*delta=*/1.0);
+  // The mid-run window: an uninterrupted run takes many rounds.
+  const SsspResult exact = solver.solve(0);
+  ASSERT_EQ(exact.status, SsspStatus::kComplete);
+  ASSERT_GE(exact.stats.outer_iterations, 10u);
+  DSG_CHECK_DISTANCES_ONLY(a, 0, exact.dist);
+
   QueryControl control;
-  std::thread watcher([&] {
-    while (dsg::testing::fault_point_hits(c.round_point) < 1) {
-      std::this_thread::yield();
-    }
-    control.request_cancel();
-  });
-  SsspResult r = solver.solve(0, control);
-  watcher.join();
-
-  EXPECT_EQ(r.status, SsspStatus::kCancelled);
-  expect_upper_bounds(a, 0, r.dist);
+  dsg::testing::FaultSpec cancel;
+  cancel.point = c.round_point;
+  cancel.on_hit = 3;
+  cancel.action = dsg::testing::FaultSpec::Action::kCallback;
+  cancel.callback = [&control] { control.request_cancel(); };
+  {
+    dsg::testing::ScopedFaults faults(/*seed=*/7, {cancel});
+    SsspResult r = solver.solve(0, control);
+    EXPECT_EQ(r.status, SsspStatus::kCancelled);
+    EXPECT_LT(r.stats.outer_iterations, exact.stats.outer_iterations);
+    expect_upper_bounds(a, 0, r.dist);
+  }
 
   // And the solver must still be reusable for an exact run afterwards.
-  dsg::testing::clear_faults();
   control.reset();
-  SsspResult exact = solver.solve(0, control);
-  EXPECT_EQ(exact.status, SsspStatus::kComplete);
-  dsg::test::expect_distances(exact.dist,
-                              dsg::test::path_distances_from_0(2000),
-                              "after mid-run cancel");
+  SsspResult again = solver.solve(0, control);
+  EXPECT_EQ(again.status, SsspStatus::kComplete);
+  EXPECT_EQ(again.dist, exact.dist);
 }
 
 #if defined(DSG_HAVE_OPENMP)

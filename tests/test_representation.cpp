@@ -8,12 +8,12 @@
 #include <random>
 #include <vector>
 
-#include "algorithms/bfs.hpp"
 #include "graph/generators.hpp"
 #include "graph/weights.hpp"
 #include "graphblas/graphblas.hpp"
 #include "sssp/delta_stepping_graphblas.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/paths.hpp"
 #include "sssp/plan.hpp"
 #include "sssp/solver.hpp"
 
@@ -216,7 +216,36 @@ TEST(Representation, BfsParentsSurviveFrontierAutoPromotion) {
   for (Index v = 7; v <= 11; ++v) edge(1, v);
   auto a = grb::Matrix<double>::build(n, n, r, c, w);
 
-  const auto parents = dsg::bfs_parents_graphblas(a, 0);
+  // GraphBLAS BFS parents: the wavefront carries candidate parent ids + 1
+  // (so id 0 is distinguishable from "no value" in masks) and (min, first)
+  // picks the smallest-id parent among competing predecessors.
+  grb::Vector<Index> wavefront(n);
+  grb::Vector<Index> parent(n);
+  wavefront.set_element(0, 1);
+  parent.set_element(0, 0);
+  const auto min_first = grb::min_first_semiring<Index>();
+  while (wavefront.nvals() > 0) {
+    // ids = select(wavefront), then stamp ids[v] = v + 1 in place — the
+    // step that lost entries when select's output was auto-promoted.
+    grb::Vector<Index> ids(n);
+    grb::select(
+        ids, [](const Index&, Index) { return true; }, wavefront);
+    auto& vals = ids.mutable_values();
+    auto idx = ids.indices();
+    ASSERT_EQ(vals.size(), idx.size());
+    for (std::size_t k = 0; k < vals.size(); ++k) vals[k] = idx[k] + 1;
+    // wavefront<!parent, replace> = ids (min.first) A
+    grb::vxm(wavefront, parent, grb::NoAccumulate{}, min_first, ids, a,
+             grb::Descriptor{.replace = true,
+                             .mask_complement = true,
+                             .mask_structure = true});
+    // parent<wavefront, structural> = wavefront - 1
+    grb::apply(
+        parent, wavefront, grb::NoAccumulate{},
+        [](const Index& x) { return x - 1; }, wavefront,
+        grb::structure_mask_desc);
+  }
+  const auto parents = parent.to_dense_array(dsg::kNoParent);
   ASSERT_EQ(parents.size(), n);
   for (Index v = 1; v <= 6; ++v) EXPECT_EQ(parents[v], 0u) << "vertex " << v;
   for (Index v = 7; v <= 11; ++v) EXPECT_EQ(parents[v], 1u) << "vertex " << v;
@@ -792,7 +821,7 @@ TEST(Representation, AutoOffSsspLegStaysSparseThroughout) {
     vals.push_back(wd(rng));
   }
   auto a = grb::Matrix<double>::build(n, n, r, c, vals, grb::Min<double>{});
-  auto plan = dsg::GraphPlan::borrow(a, 1.0);
+  const dsg::GraphPlan plan(grb::Matrix<double>(a), 1.0);
   dsg::ExecOptions exec;
 
   grb::Context ctx_off;
@@ -825,9 +854,8 @@ TEST(RepresentationParity, SsspEndToEndWithAutoSwitching) {
   }
   auto a = grb::Matrix<double>::build(n, n, r, c, vals, grb::Min<double>{});
 
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto res = dsg::delta_stepping_graphblas(a, 0, opt);
+  const dsg::GraphPlan plan(grb::Matrix<double>(a), 1.0);
+  auto res = dsg::delta_stepping_graphblas(plan, grb::default_context(), 0);
   auto ref = dsg::dijkstra(a, 0);
   ASSERT_EQ(res.dist.size(), ref.dist.size());
   for (std::size_t i = 0; i < ref.dist.size(); ++i) {

@@ -9,6 +9,7 @@
 // violation and the harness rethrows on the main thread.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -490,6 +491,10 @@ TEST_F(CapiServing, ErrorCodes) {
   EXPECT_EQ(DsgServer_new(&server, a_, static_cast<DsgSsspAlgorithm>(99),
                           DSG_SSSP_DELTA_AUTO, 1, 4, 4),
             GrB_INVALID_VALUE);
+  // A non-finite Δ is rejected by the plan, not taken as auto-Δ.
+  EXPECT_EQ(DsgServer_new(&server, a_, DSG_SSSP_FUSED, std::nan(""), 1, 4, 4),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(server, nullptr);
   EXPECT_EQ(DsgServer_new(nullptr, a_, DSG_SSSP_AUTO, DSG_SSSP_DELTA_AUTO, 1,
                           4, 4),
             GrB_NULL_POINTER);

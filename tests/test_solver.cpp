@@ -4,16 +4,19 @@
 //
 // The load-bearing guarantees pinned here:
 //   1. every registered algorithm, run through the solver, produces results
-//      identical to its legacy free-function entry point;
+//      identical to its registry core on a shared plan and agrees with the
+//      Dijkstra oracle;
 //   2. solve_batch is element-identical to a per-source solve() loop,
 //      including repeated and duplicate sources (warm-workspace reuse must
 //      not leak state between queries);
 //   3. the unreachable-vertex convention (exactly +inf, never absent) holds
 //      across every algorithm on a disconnected graph;
-//   4. plan validation fails construction, not solve.
+//   4. plan validation (graph shape, weights, a finite Δ) fails
+//      construction, not solve.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -60,56 +63,33 @@ TEST(SolverRegistry, CoversAllAlgorithmsWithStableNames) {
 }
 
 // ---------------------------------------------------------------------------
-// Solver results == legacy entry points, for every algorithm.
+// Solver results == registry core on a shared plan == oracle, for every
+// algorithm.
 // ---------------------------------------------------------------------------
 
-TEST(SsspSolver, MatchesLegacyEntryPointsOnAllAlgorithms) {
+TEST(SsspSolver, MatchesRegistryCoreAndOracleOnAllAlgorithms) {
   const auto a = weighted_test_graph();
   const double delta = 1.0;
   const Index source = 3;
+  const GraphPlan plan(grb::Matrix<double>(a), delta);
+  const auto oracle = dijkstra(a, source);
 
-  // Legacy references, one per registry name (the solver must reproduce
-  // these exactly).
-  std::vector<std::pair<std::string, std::vector<double>>> legacy;
-  // One slot per registry row, reserved up front: GCC 12's -O3 inliner
-  // otherwise trips -Warray-bounds false positives inside the grown
-  // reallocation path of this pair-of-string-and-vector element type.
-  legacy.reserve(static_cast<std::size_t>(sssp::kNumAlgorithms));
-  DeltaSteppingOptions opt;
-  opt.delta = delta;
-  OpenMpOptions omp_opt;
-  omp_opt.delta = delta;
-  legacy.emplace_back("buckets", delta_stepping_buckets(a, source, opt).dist);
-  legacy.emplace_back("graphblas",
-                      delta_stepping_graphblas(a, source, opt).dist);
-  legacy.emplace_back("graphblas_select",
-                      delta_stepping_graphblas_select(a, source, opt).dist);
-  legacy.emplace_back("capi", delta_stepping_capi(a, source, opt).dist);
-  legacy.emplace_back("fused", delta_stepping_fused(a, source, opt).dist);
-  legacy.emplace_back("openmp", delta_stepping_openmp(a, source, omp_opt).dist);
-  legacy.emplace_back("bellman_ford", bellman_ford(a, source).dist);
-  legacy.emplace_back("dijkstra", dijkstra(a, source).dist);
-  // The async engines are value-deterministic (bit-identical distances for
-  // any schedule), so the exact-equality check below holds for them too.
-  AsyncSteppingOptions async_opt;
-  async_opt.delta = delta;
-  legacy.emplace_back("rho_stepping", rho_stepping(a, source, async_opt).dist);
-  legacy.emplace_back("delta_stepping_async",
-                      delta_stepping_async(a, source, async_opt).dist);
-
-  for (const auto& [name, want] : legacy) {
-    SCOPED_TRACE("algorithm=" + name);
-    const auto* info = sssp::find_algorithm(name);
-    ASSERT_NE(info, nullptr);
+  for (const auto& info : sssp::algorithm_registry()) {
+    SCOPED_TRACE(std::string("algorithm=") + info.name);
     SolverOptions options;
-    options.algorithm = info->id;
+    options.algorithm = info.id;
     options.delta = delta;
     SsspSolver solver(a, options);
     const auto got = solver.solve(source);
-    ASSERT_EQ(got.dist.size(), want.size());
-    for (std::size_t v = 0; v < want.size(); ++v) {
-      EXPECT_EQ(got.dist[v], want[v]) << "vertex " << v;
+    // The async engines are value-deterministic (bit-identical distances
+    // for any schedule), so exact equality holds for every entry.
+    const auto want = run_registry(plan, info.id, source);
+    ASSERT_EQ(got.dist.size(), want.dist.size());
+    for (std::size_t v = 0; v < want.dist.size(); ++v) {
+      EXPECT_EQ(got.dist[v], want.dist[v]) << "vertex " << v;
     }
+    const auto cmp = compare_distances(oracle.dist, got.dist, 1e-9);
+    EXPECT_TRUE(cmp.ok) << cmp.message;
   }
 }
 
@@ -206,12 +186,55 @@ TEST(GraphPlan, ValidatesAtConstructionNotSolve) {
   grb::Matrix<double> negative(3, 3);
   negative.set_element(0, 1, -2.0);
   EXPECT_THROW(SsspSolver{negative}, grb::InvalidValue);
+  EXPECT_THROW(GraphPlan{negative}, grb::InvalidValue);
+
+  grb::Matrix<double> nan_weight(3, 3);
+  nan_weight.set_element(0, 1, std::nan(""));
+  EXPECT_THROW(GraphPlan{nan_weight}, grb::InvalidValue);
 
   grb::Matrix<double> rect(3, 4);
   EXPECT_THROW(SsspSolver{rect}, grb::DimensionMismatch);
+  EXPECT_THROW(GraphPlan{rect}, grb::DimensionMismatch);
 
   grb::Matrix<double> empty(0, 0);
   EXPECT_THROW(SsspSolver{empty}, grb::InvalidValue);
+  EXPECT_THROW(GraphPlan{empty}, grb::InvalidValue);
+
+  // An out-of-range source is a per-query error of every registry entry.
+  const GraphPlan plan(diamond_graph().to_matrix(), 1.0);
+  for (const auto& info : sssp::algorithm_registry()) {
+    SCOPED_TRACE(std::string("algorithm=") + info.name);
+    EXPECT_THROW(run_registry(plan, info.id, 5), grb::IndexOutOfBounds);
+  }
+}
+
+TEST(GraphPlan, RejectsNonFiniteDeltaForEveryAlgorithm) {
+  // +inf would make the bucket bounds 0 * inf = NaN (fused and graphblas
+  // then return {0, inf, inf, inf} on this path), and NaN would silently
+  // pass as auto-Δ.
+  EdgeList path(4);
+  path.add_edge(0, 1, 1.0);
+  path.add_edge(1, 2, 2.0);
+  path.add_edge(2, 3, 3.0);
+  const auto a = path.to_matrix();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& info : sssp::algorithm_registry()) {
+    SCOPED_TRACE(std::string("algorithm=") + info.name);
+    for (const double delta : {inf, -inf, std::nan("")}) {
+      SolverOptions options;
+      options.algorithm = info.id;
+      options.delta = delta;
+      EXPECT_THROW(SsspSolver(a, options), grb::InvalidValue)
+          << "delta=" << delta;
+    }
+    // A finite Δ <= 0 still means auto-Δ, and answers correctly.
+    SolverOptions options;
+    options.algorithm = info.id;
+    options.delta = -1.0;
+    SsspSolver solver(a, options);
+    EXPECT_TRUE(solver.plan().delta_was_auto());
+    expect_distances(solver.solve(0).dist, {0.0, 1.0, 3.0, 6.0}, info.name);
+  }
 }
 
 TEST(GraphPlan, AutoDeltaFollowsDegreeStats) {
@@ -361,6 +384,18 @@ TEST_F(DsgSolverCapi, ErrorCodesNotExceptions) {
   EXPECT_EQ(DsgSolver_new(&solver, neg, DSG_SSSP_FUSED, 1.0),
             GrB_INVALID_VALUE);
   GrB_Matrix_free(&neg);
+
+  // Non-finite Δ: GrB_INVALID_VALUE, for every algorithm.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int alg = 0; alg < sssp::kNumAlgorithms; ++alg) {
+    for (const double delta : {inf, -inf, std::nan("")}) {
+      EXPECT_EQ(DsgSolver_new(&solver, a_, static_cast<DsgSsspAlgorithm>(alg),
+                              delta),
+                GrB_INVALID_VALUE)
+          << "algorithm " << alg << " delta " << delta;
+      EXPECT_EQ(solver, nullptr);
+    }
+  }
 
   ASSERT_EQ(DsgSolver_new(&solver, a_, DSG_SSSP_FUSED, 1.0), GrB_SUCCESS);
   double dist[5];

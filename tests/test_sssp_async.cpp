@@ -130,22 +130,24 @@ TEST_P(AsyncProperty, BothVariantsMatchOracleAcrossSourcesAndThreads) {
   const AsyncCase c = GetParam();
   const auto a = make(c.graph);
   const Index n = a.nrows();
+  // One plan at Δ = knob; rho_stepping ignores the plan's Δ.
+  const GraphPlan plan(grb::Matrix<double>(a), c.knob);
   for (Index source : {Index{0}, n / 2, n - 1}) {
     for (int threads : {1, 2, 4}) {
       SCOPED_TRACE("graph=" + std::string(c.graph) +
                    " source=" + std::to_string(source) +
                    " threads=" + std::to_string(threads));
-      AsyncSteppingOptions rho_opt;
-      rho_opt.num_threads = threads;
-      rho_opt.rho = static_cast<Index>(c.knob);
-      DSG_CHECK_DISTANCES_ONLY(a, source,
-                               rho_stepping(a, source, rho_opt).dist);
-
-      AsyncSteppingOptions delta_opt;
-      delta_opt.num_threads = threads;
-      delta_opt.delta = c.knob;
+      ExecOptions exec;
+      exec.num_threads = threads;
       DSG_CHECK_DISTANCES_ONLY(
-          a, source, delta_stepping_async(a, source, delta_opt).dist);
+          a, source,
+          run_registry(plan, Algorithm::kDeltaSteppingAsync, source, exec)
+              .dist);
+
+      exec.rho = static_cast<Index>(c.knob);
+      DSG_CHECK_DISTANCES_ONLY(
+          a, source,
+          run_registry(plan, Algorithm::kRhoStepping, source, exec).dist);
     }
   }
 }
@@ -167,17 +169,16 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 TEST(AsyncDeterminism, DistancesBitIdenticalAcrossThreadCounts) {
-  const auto a = random_weighted(350, 1400, 71);
+  const GraphPlan plan(random_weighted(350, 1400, 71), 0.7);
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
-  for (const bool use_delta : {false, true}) {
-    SCOPED_TRACE(use_delta ? "delta_stepping_async" : "rho_stepping");
-    AsyncSteppingOptions opt;
-    opt.delta = 0.7;
+  for (const Algorithm alg :
+       {Algorithm::kRhoStepping, Algorithm::kDeltaSteppingAsync}) {
+    SCOPED_TRACE(sssp::algorithm_info(alg).name);
     auto run = [&](int threads) {
-      opt.num_threads = threads;
-      return use_delta ? delta_stepping_async(a, 3, opt).dist
-                       : rho_stepping(a, 3, opt).dist;
+      ExecOptions exec;
+      exec.num_threads = threads;
+      return run_registry(plan, alg, 3, exec).dist;
     };
     const auto serial = run(1);
     for (int threads : {2, hw}) {
@@ -206,7 +207,7 @@ TEST(AsyncSolver, BatchWithDuplicateSourcesMatchesPerSourceLoop) {
     SolverOptions options;
     options.algorithm = alg;
     options.delta = 0.9;
-    options.num_threads = 2;
+    options.exec.num_threads = 2;
     SsspSolver solver(a, options);
     const auto batched = solver.solve_batch(sources);
     ASSERT_EQ(batched.size(), sources.size());
@@ -231,8 +232,8 @@ TEST(AsyncSolver, RhoKnobFlowsThroughSolverOptions) {
     SCOPED_TRACE("rho=" + std::to_string(rho));
     SolverOptions options;
     options.algorithm = Algorithm::kRhoStepping;
-    options.rho = rho;
-    options.num_threads = 2;
+    options.exec.rho = rho;
+    options.exec.num_threads = 2;
     SsspSolver solver(a, options);
     DSG_CHECK_DISTANCES_ONLY(a, 7, solver.solve(7).dist);
   }

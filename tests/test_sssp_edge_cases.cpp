@@ -1,6 +1,10 @@
-// Edge cases and failure injection for the SSSP entry points: input
-// validation, extreme deltas, extreme structures, numeric extremes.
+// Edge cases and failure injection for the SSSP entry points (GraphPlan /
+// SsspSolver and the Dijkstra oracle): input validation, extreme deltas,
+// extreme structures, numeric extremes.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "graph/edge_list.hpp"
 #include "graph/generators.hpp"
@@ -11,6 +15,8 @@ namespace {
 
 using dsg::EdgeList;
 using dsg::kInfDist;
+using dsg::sssp::Algorithm;
+using dsg::sssp::SsspSolver;
 using grb::Index;
 
 grb::Matrix<double> tiny() {
@@ -20,56 +26,63 @@ grb::Matrix<double> tiny() {
   return g.to_matrix();
 }
 
+/// One-shot solve through the solver (one plan per call).
+dsg::SsspResult solve(const grb::Matrix<double>& a, Index source,
+                      Algorithm algorithm, double delta = 1.0) {
+  return SsspSolver(a, {.algorithm = algorithm, .delta = delta}).solve(source);
+}
+
 TEST(InputValidation, NonSquareMatrixRejected) {
   grb::Matrix<double> a(2, 3);
-  dsg::DeltaSteppingOptions opt;
-  EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt),
-               grb::DimensionMismatch);
-  EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::DimensionMismatch);
+  EXPECT_THROW(dsg::GraphPlan{a}, grb::DimensionMismatch);
+  EXPECT_THROW(SsspSolver{a}, grb::DimensionMismatch);
+  EXPECT_THROW(dsg::dijkstra(a, 0), grb::DimensionMismatch);
 }
 
 TEST(InputValidation, EmptyGraphRejected) {
   grb::Matrix<double> a(0, 0);
-  dsg::DeltaSteppingOptions opt;
-  EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::InvalidValue);
+  EXPECT_THROW(dsg::GraphPlan{a}, grb::InvalidValue);
+  EXPECT_THROW(SsspSolver{a}, grb::InvalidValue);
   EXPECT_THROW(dsg::dijkstra(a, 0), grb::InvalidValue);
 }
 
 TEST(InputValidation, SourceOutOfRangeRejected) {
-  auto a = tiny();
-  dsg::DeltaSteppingOptions opt;
-  EXPECT_THROW(dsg::delta_stepping_graphblas(a, 3, opt),
-               grb::IndexOutOfBounds);
-  EXPECT_THROW(dsg::delta_stepping_buckets(a, 99, opt),
-               grb::IndexOutOfBounds);
-  EXPECT_THROW(dsg::dijkstra(a, 3), grb::IndexOutOfBounds);
+  SsspSolver solver(tiny(), {.algorithm = Algorithm::kGraphblas});
+  EXPECT_THROW(solver.solve(3), grb::IndexOutOfBounds);
+  SsspSolver buckets(tiny(), {.algorithm = Algorithm::kBuckets});
+  EXPECT_THROW(buckets.solve(99), grb::IndexOutOfBounds);
+  EXPECT_THROW(dsg::dijkstra(tiny(), 3), grb::IndexOutOfBounds);
 }
 
-TEST(InputValidation, NegativeWeightRejectedByDeltaStepping) {
+TEST(InputValidation, NegativeWeightRejected) {
   EdgeList g(2);
   g.add_edge(0, 1, -1.0);
   auto a = g.to_matrix();
-  dsg::DeltaSteppingOptions opt;
-  EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt), grb::InvalidValue);
-  EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::InvalidValue);
-  EXPECT_THROW(dsg::delta_stepping_buckets(a, 0, opt), grb::InvalidValue);
+  EXPECT_THROW(dsg::GraphPlan{a}, grb::InvalidValue);
+  for (const auto& info : dsg::sssp::algorithm_registry()) {
+    SCOPED_TRACE(info.name);
+    EXPECT_THROW(SsspSolver(a, {.algorithm = info.id}), grb::InvalidValue);
+  }
   EXPECT_THROW(dsg::dijkstra(a, 0), grb::InvalidValue);
 }
 
-TEST(InputValidation, BadDeltaRejected) {
-  auto a = tiny();
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 0.0;
-  EXPECT_THROW(dsg::delta_stepping_fused(a, 0, opt), grb::InvalidValue);
-  opt.delta = -2.0;
-  EXPECT_THROW(dsg::delta_stepping_graphblas(a, 0, opt), grb::InvalidValue);
+TEST(InputValidation, NonFiniteWeightRejectedByOracle) {
+  // The oracle applies the same strict check as GraphPlan: a plain
+  // (w < 0) test would wave NaN through into the relaxation loop.
+  for (const double w : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    EdgeList g(3);
+    g.add_edge(0, 1, 1.0);
+    g.add_edge(1, 2, w);
+    auto a = g.to_matrix();
+    EXPECT_THROW(dsg::dijkstra(a, 0), grb::InvalidValue) << "w=" << w;
+    EXPECT_THROW(dsg::GraphPlan{a}, grb::InvalidValue) << "w=" << w;
+  }
 }
 
 TEST(EdgeCases, IsolatedSourceVertex) {
   EdgeList g(3);
   g.add_edge(1, 2, 1.0);
-  dsg::DeltaSteppingOptions opt;
-  auto r = dsg::delta_stepping_graphblas(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kGraphblas);
   EXPECT_DOUBLE_EQ(r.dist[0], 0.0);
   EXPECT_EQ(r.dist[1], kInfDist);
   EXPECT_EQ(r.dist[2], kInfDist);
@@ -80,8 +93,7 @@ TEST(EdgeCases, SinkOnlySource) {
   EdgeList g(3);
   g.add_edge(1, 0, 1.0);
   g.add_edge(2, 0, 1.0);
-  dsg::DeltaSteppingOptions opt;
-  auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kFused);
   EXPECT_DOUBLE_EQ(r.dist[0], 0.0);
   EXPECT_EQ(r.dist[1], kInfDist);
 }
@@ -94,8 +106,7 @@ TEST(EdgeCases, ZeroWeightEdgesAreExcludedFromLightSet) {
   EdgeList g(3);
   g.add_edge(0, 1, 0.0);
   g.add_edge(1, 2, 1.0);
-  dsg::DeltaSteppingOptions opt;
-  auto r = dsg::delta_stepping_graphblas(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kGraphblas);
   EXPECT_EQ(r.dist[1], kInfDist);  // 0-weight edge not in A_L nor A_H
   // Dijkstra (not delta-split) does traverse it:
   auto rd = dsg::dijkstra(g.to_matrix(), 0);
@@ -105,18 +116,15 @@ TEST(EdgeCases, ZeroWeightEdgesAreExcludedFromLightSet) {
 
 TEST(EdgeCases, TinyDeltaManyEmptyBuckets) {
   auto a = tiny();
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 0.125;  // distances 0,1,2 -> buckets 0,8,16
-  auto r = dsg::delta_stepping_fused(a, 0, opt);
+  // Δ = 0.125: distances 0,1,2 -> buckets 0,8,16.
+  auto r = solve(a, 0, Algorithm::kFused, 0.125);
   EXPECT_DOUBLE_EQ(r.dist[2], 2.0);
   EXPECT_GE(r.stats.outer_iterations, 3u);
 }
 
 TEST(EdgeCases, HugeDeltaSingleBucket) {
   auto a = tiny();
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1e12;
-  auto r = dsg::delta_stepping_graphblas(a, 0, opt);
+  auto r = solve(a, 0, Algorithm::kGraphblas, 1e12);
   EXPECT_DOUBLE_EQ(r.dist[2], 2.0);
   EXPECT_EQ(r.stats.outer_iterations, 1u);
 }
@@ -137,9 +145,7 @@ TEST(EdgeCases, DistanceExactlyOnBucketBoundary) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(2, 3, 1.0);
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto r = dsg::delta_stepping_graphblas(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kGraphblas, 1.0);
   EXPECT_DOUBLE_EQ(r.dist[3], 3.0);
 }
 
@@ -147,9 +153,7 @@ TEST(EdgeCases, VeryLargeWeights) {
   EdgeList g(3);
   g.add_edge(0, 1, 1e15);
   g.add_edge(1, 2, 1e15);
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1e14;
-  auto r = dsg::delta_stepping_buckets(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kBuckets, 1e14);
   EXPECT_DOUBLE_EQ(r.dist[2], 2e15);
 }
 
@@ -163,11 +167,10 @@ TEST(EdgeCases, DenseCompleteGraph) {
 TEST(EdgeCases, StarGraphSingleHub) {
   auto g = dsg::generate_star(500);
   dsg::assign_unit_weights(g);
-  dsg::DeltaSteppingOptions opt;
-  auto r = dsg::delta_stepping_graphblas(g.to_matrix(), 0, opt);
+  auto r = solve(g.to_matrix(), 0, Algorithm::kGraphblas);
   for (Index v = 1; v < 500; ++v) EXPECT_DOUBLE_EQ(r.dist[v], 1.0);
   // From a leaf: everything is at most 2.
-  auto r2 = dsg::delta_stepping_fused(g.to_matrix(), 7, opt);
+  auto r2 = solve(g.to_matrix(), 7, Algorithm::kFused);
   EXPECT_DOUBLE_EQ(r2.dist[0], 1.0);
   EXPECT_DOUBLE_EQ(r2.dist[8], 2.0);
 }
@@ -178,11 +181,11 @@ TEST(EdgeCases, OpenMpThreadCountVariants) {
   g.normalize();
   auto a = g.to_matrix();
   auto ref = dsg::dijkstra(a, 0);
+  const dsg::GraphPlan plan(grb::Matrix<double>(a), 0.5);
   for (int threads : {1, 2, 4, 8}) {
-    dsg::OpenMpOptions opt;
-    opt.delta = 0.5;
-    opt.num_threads = threads;
-    auto r = dsg::delta_stepping_openmp(a, 0, opt);
+    dsg::ExecOptions exec;
+    exec.num_threads = threads;
+    auto r = dsg::test::run_registry(plan, Algorithm::kOpenmp, 0, exec);
     auto cmp = dsg::compare_distances(ref.dist, r.dist);
     EXPECT_TRUE(cmp.ok) << threads << " threads: " << cmp.message;
   }
@@ -192,11 +195,12 @@ TEST(EdgeCases, OpenMpTaskGranularityVariants) {
   auto g = dsg::generate_grid2d(20, 20);
   auto a = g.to_matrix();
   auto ref = dsg::dijkstra(a, 0);
+  const dsg::GraphPlan plan(grb::Matrix<double>(a), 1.0);
   for (int tasks : {1, 3, 16, 64}) {
-    dsg::OpenMpOptions opt;
-    opt.num_threads = 4;
-    opt.tasks_per_vector = tasks;
-    auto r = dsg::delta_stepping_openmp(a, 0, opt);
+    dsg::ExecOptions exec;
+    exec.num_threads = 4;
+    exec.tasks_per_vector = tasks;
+    auto r = dsg::test::run_registry(plan, Algorithm::kOpenmp, 0, exec);
     auto cmp = dsg::compare_distances(ref.dist, r.dist);
     EXPECT_TRUE(cmp.ok) << tasks << " tasks: " << cmp.message;
   }
@@ -208,19 +212,22 @@ TEST(EdgeCases, RepeatedRunsAreDeterministic) {
   dsg::assign_unit_weights(g);
   g.normalize();
   auto a = g.to_matrix();
-  dsg::DeltaSteppingOptions opt;
-  auto r1 = dsg::delta_stepping_graphblas(a, 0, opt);
-  auto r2 = dsg::delta_stepping_graphblas(a, 0, opt);
+  auto r1 = solve(a, 0, Algorithm::kGraphblas);
+  auto r2 = solve(a, 0, Algorithm::kGraphblas);
   EXPECT_EQ(r1.dist, r2.dist);
   EXPECT_EQ(r1.stats.light_phases, r2.stats.light_phases);
 }
 
 TEST(EdgeCases, ProfileFlagPopulatesTimers) {
   auto g = dsg::generate_grid2d(30, 30);
-  dsg::DeltaSteppingOptions opt;
-  opt.profile = true;
-  auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, opt);
-  EXPECT_GT(r.stats.setup_seconds, 0.0);
+  dsg::sssp::SolverOptions options;
+  options.delta = 1.0;
+  options.exec.profile = true;
+  SsspSolver solver(g.to_matrix(), options);
+  auto r = solver.solve(0);
+  // Setup is paid (and timed) once by the plan, never per solve.
+  EXPECT_GT(solver.plan().setup_seconds(), 0.0);
+  EXPECT_EQ(r.stats.setup_seconds, 0.0);
   EXPECT_GT(r.stats.light_seconds + r.stats.vector_seconds, 0.0);
 }
 

@@ -10,6 +10,7 @@
 
 namespace {
 
+using dsg::sssp::Algorithm;
 using grb::Index;
 
 TEST(Suite, IsSortedByAscendingNodeCount) {
@@ -85,10 +86,9 @@ TEST(SuiteParity, PhaseCountsAgreeAcrossAlgebraicVariants) {
   // algorithm, so bucket/phase counts must match exactly.
   auto suite = dsg::quick_suite(3);
   for (const auto& entry : suite) {
-    auto a = entry.make().to_matrix();
-    dsg::DeltaSteppingOptions opt;
-    auto r_gb = dsg::delta_stepping_graphblas(a, 0, opt);
-    auto r_fused = dsg::delta_stepping_fused(a, 0, opt);
+    const dsg::GraphPlan plan(entry.make().to_matrix(), 1.0);
+    auto r_gb = dsg::test::run_registry(plan, Algorithm::kGraphblas, 0);
+    auto r_fused = dsg::test::run_registry(plan, Algorithm::kFused, 0);
     EXPECT_EQ(r_gb.stats.outer_iterations, r_fused.stats.outer_iterations)
         << entry.name;
     EXPECT_EQ(r_gb.stats.light_phases, r_fused.stats.light_phases)
@@ -107,8 +107,7 @@ TEST(SuiteParity, UnitWeightDeltaOneBucketsEqualBfsDepth) {
     for (auto l : levels) {
       if (l != std::numeric_limits<Index>::max()) ecc = std::max(ecc, l);
     }
-    dsg::DeltaSteppingOptions opt;
-    auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, opt);
+    auto r = dsg::sssp::SsspSolver(g.to_matrix(), {.delta = 1.0}).solve(0);
     EXPECT_EQ(r.stats.outer_iterations, ecc + 1) << entry.name;
   }
 }

@@ -14,6 +14,8 @@
 
 namespace {
 
+using dsg::sssp::Algorithm;
+using dsg::sssp::SsspSolver;
 using grb::Index;
 
 enum class Family { kRmat, kErdos, kGrid, kSmallWorld, kTree };
@@ -140,15 +142,13 @@ TEST(SsspMonotonicity, AddingEdgesNeverIncreasesDistances) {
   dsg::assign_uniform_weights(g, 0.5, 3.0, 8);
   g.normalize();
   auto a1 = g.to_matrix();
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto d1 = dsg::delta_stepping_fused(a1, 0, opt).dist;
+  auto d1 = SsspSolver(a1, {.delta = 1.0}).solve(0).dist;
 
   g.add_edge(0, 99, 0.25);  // a shortcut
   g.add_edge(99, 0, 0.25);
   g.normalize();
   auto a2 = g.to_matrix();
-  auto d2 = dsg::delta_stepping_fused(a2, 0, opt).dist;
+  auto d2 = SsspSolver(a2, {.delta = 1.0}).solve(0).dist;
   for (Index v = 0; v < 100; ++v) {
     EXPECT_LE(d2[v], d1[v] + 1e-12) << "vertex " << v;
   }
@@ -164,11 +164,13 @@ TEST(SsspScaling, WeightsScaleLinearly) {
   for (auto& e : g2.edges()) e.weight *= 3.0;
   auto a2 = g2.to_matrix();
 
-  dsg::DeltaSteppingOptions o1, o2;
-  o1.delta = 0.8;
-  o2.delta = 2.4;  // scale delta along to keep identical bucketing
-  auto d1 = dsg::delta_stepping_graphblas(a1, 5, o1).dist;
-  auto d2 = dsg::delta_stepping_graphblas(a2, 5, o2).dist;
+  // Scale delta along (0.8 -> 2.4) to keep identical bucketing.
+  auto d1 = SsspSolver(a1, {.algorithm = Algorithm::kGraphblas, .delta = 0.8})
+                .solve(5)
+                .dist;
+  auto d2 = SsspSolver(a2, {.algorithm = Algorithm::kGraphblas, .delta = 2.4})
+                .solve(5)
+                .dist;
   for (Index v = 0; v < 80; ++v) {
     EXPECT_NEAR(d2[v], 3.0 * d1[v], 1e-9);
   }
@@ -189,10 +191,8 @@ TEST(SsspPermutation, RelabelingCommutesWithSssp) {
   for (const auto& e : g.edges()) {
     h.add_edge(perm[e.src], perm[e.dst], e.weight);
   }
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto dg = dsg::delta_stepping_fused(g.to_matrix(), 0, opt).dist;
-  auto dh = dsg::delta_stepping_fused(h.to_matrix(), perm[0], opt).dist;
+  auto dg = SsspSolver(g.to_matrix(), {.delta = 1.0}).solve(0).dist;
+  auto dh = SsspSolver(h.to_matrix(), {.delta = 1.0}).solve(perm[0]).dist;
   for (Index v = 0; v < n; ++v) {
     EXPECT_NEAR(dh[perm[v]], dg[v], 1e-9);
   }
@@ -205,9 +205,10 @@ TEST(SsspBfsEquivalence, UnitWeightsMatchBfsLevels) {
   dsg::assign_unit_weights(g);
   g.normalize();
   auto levels = dsg::bfs_levels(g, 0);
-  dsg::DeltaSteppingOptions opt;
-  opt.delta = 1.0;
-  auto dist = dsg::delta_stepping_graphblas(g.to_matrix(), 0, opt).dist;
+  auto dist = SsspSolver(g.to_matrix(),
+                         {.algorithm = Algorithm::kGraphblas, .delta = 1.0})
+                  .solve(0)
+                  .dist;
   for (Index v = 0; v < g.num_vertices(); ++v) {
     if (levels[v] == std::numeric_limits<Index>::max()) {
       EXPECT_EQ(dist[v], dsg::kInfDist);

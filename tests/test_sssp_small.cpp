@@ -22,25 +22,25 @@ INSTANTIATE_TEST_SUITE_P(Sssp, AllImpls,
                          });
 
 TEST_P(AllImpls, DiamondDigraph) {
-  auto r = GetParam().fn(dsg::test::diamond_graph().to_matrix(), 0, 3.0);
+  auto r = GetParam().run(dsg::test::diamond_graph().to_matrix(), 0, 3.0);
   dsg::test::expect_distances(r.dist, dsg::test::diamond_distances_from_0(),
                               GetParam().name);
 }
 
 TEST_P(AllImpls, DiamondFromOtherSource) {
-  auto r = GetParam().fn(dsg::test::diamond_graph().to_matrix(), 3, 2.0);
+  auto r = GetParam().run(dsg::test::diamond_graph().to_matrix(), 3, 2.0);
   dsg::test::expect_distances(r.dist, {9.0, 3.0, 4.0, 0.0, 2.0},
                               GetParam().name);
 }
 
 TEST_P(AllImpls, UnweightedPathGraphCountsHops) {
-  auto r = GetParam().fn(dsg::test::path_graph(6).to_matrix(), 0, 1.0);
+  auto r = GetParam().run(dsg::test::path_graph(6).to_matrix(), 0, 1.0);
   dsg::test::expect_distances(r.dist, dsg::test::path_distances_from_0(6),
                               GetParam().name);
 }
 
 TEST_P(AllImpls, DisconnectedComponentStaysInfinite) {
-  auto r = GetParam().fn(dsg::test::two_islands_graph().to_matrix(), 0, 1.0);
+  auto r = GetParam().run(dsg::test::two_islands_graph().to_matrix(), 0, 1.0);
   dsg::test::expect_distances(
       r.dist, dsg::test::two_islands_distances_from_0(), GetParam().name);
 }
@@ -51,13 +51,13 @@ TEST_P(AllImpls, ShorterLongRouteBeatsDirectEdge) {
   g.add_edge(0, 2, 10.0);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 2.0);
-  auto r = GetParam().fn(g.to_matrix(), 0, 2.5);
+  auto r = GetParam().run(g.to_matrix(), 0, 2.5);
   EXPECT_DOUBLE_EQ(r.dist[2], 3.0);
 }
 
 TEST_P(AllImpls, SingleVertexGraph) {
   EdgeList g(1);
-  auto r = GetParam().fn(g.to_matrix(), 0, 1.0);
+  auto r = GetParam().run(g.to_matrix(), 0, 1.0);
   ASSERT_EQ(r.dist.size(), 1u);
   EXPECT_DOUBLE_EQ(r.dist[0], 0.0);
 }
@@ -66,7 +66,7 @@ TEST_P(AllImpls, TwoVertexBothDirections) {
   EdgeList g(2);
   g.add_edge(0, 1, 2.5);
   g.add_edge(1, 0, 0.5);
-  auto r = GetParam().fn(g.to_matrix(), 1, 1.0);
+  auto r = GetParam().run(g.to_matrix(), 1, 1.0);
   EXPECT_DOUBLE_EQ(r.dist[0], 0.5);
   EXPECT_DOUBLE_EQ(r.dist[1], 0.0);
 }
@@ -74,24 +74,26 @@ TEST_P(AllImpls, TwoVertexBothDirections) {
 TEST_P(AllImpls, ZigzagRequiresReintroduction) {
   // Classic delta-stepping stress: improving a vertex within the same
   // bucket multiple times (light edge chains inside one bucket).
-  auto r = GetParam().fn(dsg::test::zigzag_graph().to_matrix(), 0, 1.0);
+  auto r = GetParam().run(dsg::test::zigzag_graph().to_matrix(), 0, 1.0);
   dsg::test::expect_distances(r.dist, dsg::test::zigzag_distances_from_0(),
                               GetParam().name);
 }
 
-// --- Baseline-specific checks. ----------------------------------------------
+// --- Shortest-path tree. -----------------------------------------------------
 
 TEST(Dijkstra, ParentsFormShortestPathTree) {
-  std::vector<Index> parent;
-  auto r = dsg::dijkstra_with_parents(dsg::test::diamond_graph().to_matrix(),
-                                      0, parent);
+  dsg::sssp::SsspSolver solver(
+      dsg::test::diamond_graph().to_matrix(),
+      {.algorithm = dsg::sssp::Algorithm::kDijkstra});
+  const auto r = solver.solve_with_paths(0);
+  const auto& parent = r.parent;
   EXPECT_EQ(parent[0], dsg::kNoParent);
   EXPECT_EQ(parent[3], 0u);
   EXPECT_EQ(parent[1], 3u);  // 0->3->1 = 8 beats 0->1 = 10
   EXPECT_EQ(parent[2], 1u);
   EXPECT_EQ(parent[4], 3u);
   // Tree edges are tight.
-  auto a = dsg::test::diamond_graph().to_matrix();
+  const auto& a = solver.plan().matrix();
   for (Index v = 1; v < 5; ++v) {
     auto w = a.extract_element(parent[v], v);
     ASSERT_TRUE(w.has_value());
@@ -99,43 +101,13 @@ TEST(Dijkstra, ParentsFormShortestPathTree) {
   }
 }
 
-TEST(BellmanFord, HandlesNegativeEdgesOnDag) {
-  EdgeList g(4);
-  g.add_edge(0, 1, 4.0);
-  g.add_edge(0, 2, 2.0);
-  g.add_edge(2, 1, -1.0);
-  g.add_edge(1, 3, 1.0);
-  auto r = dsg::bellman_ford(g.to_matrix(), 0);
-  EXPECT_DOUBLE_EQ(r.dist[1], 1.0);  // 0->2->1
-  EXPECT_DOUBLE_EQ(r.dist[3], 2.0);
-}
-
-TEST(BellmanFord, DetectsNegativeCycle) {
-  EdgeList g(3);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, -2.0);
-  g.add_edge(2, 1, 1.0);  // 1->2->1 loop of weight -1
-  EXPECT_THROW(dsg::bellman_ford(g.to_matrix(), 0), grb::InvalidValue);
-  EXPECT_THROW(dsg::bellman_ford_rounds(g.to_matrix(), 0), grb::InvalidValue);
-}
-
-TEST(BellmanFord, IgnoresUnreachableNegativeCycle) {
-  EdgeList g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(2, 3, -5.0);  // negative cycle island
-  g.add_edge(3, 2, 1.0);
-  auto r = dsg::bellman_ford(g.to_matrix(), 0);
-  EXPECT_DOUBLE_EQ(r.dist[1], 1.0);
-}
-
 // --- Stats plumbing. ----------------------------------------------------------
 
 TEST(SsspStats, BucketsCountedOnPathGraph) {
   EdgeList g(5);
   for (Index v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1, 1.0);
-  dsg::DeltaSteppingOptions o;
-  o.delta = 1.0;
-  auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, o);
+  dsg::sssp::SsspSolver solver(g.to_matrix(), {.delta = 1.0});
+  auto r = solver.solve(0);
   // Distances 0..4 with delta 1 -> 5 buckets processed.
   EXPECT_EQ(r.stats.outer_iterations, 5u);
   EXPECT_GE(r.stats.light_phases, 5u);
@@ -144,9 +116,9 @@ TEST(SsspStats, BucketsCountedOnPathGraph) {
 TEST(SsspStats, SingleBucketWhenDeltaHuge) {
   EdgeList g(5);
   for (Index v = 0; v + 1 < 5; ++v) g.add_edge(v, v + 1, 1.0);
-  dsg::DeltaSteppingOptions o;
-  o.delta = 1000.0;  // Bellman-Ford regime: one bucket, many phases
-  auto r = dsg::delta_stepping_fused(g.to_matrix(), 0, o);
+  // Bellman-Ford regime: one bucket, many phases.
+  dsg::sssp::SsspSolver solver(g.to_matrix(), {.delta = 1000.0});
+  auto r = solver.solve(0);
   EXPECT_EQ(r.stats.outer_iterations, 1u);
   EXPECT_GE(r.stats.light_phases, 4u);
 }

@@ -3,9 +3,10 @@
 // Provides four things so the SSSP variants are exercised uniformly:
 //   1. tiny hand-computed graphs with their known distance vectors,
 //   2. an oracle checker against hand-computed distances,
-//   3. a table of every SSSP entry point under one signature, plus the
-//      DSG_CHECK_IMPL_PARITY table-driven parity macro (structural
-//      validate_sssp + Dijkstra agreement for each implementation),
+//   3. the solver registry as a table (the threaded entries at two thread
+//      counts), plus the DSG_CHECK_IMPL_PARITY table-driven parity macro
+//      (structural validate_sssp + Dijkstra agreement for each entry, all
+//      run on one shared GraphPlan),
 //   4. run_concurrent_stress, the barrier-started multi-thread harness
 //      shared by the serving and async suites.
 #pragma once
@@ -15,20 +16,16 @@
 #include <barrier>
 #include <cstdint>
 #include <exception>
+#include <ostream>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/edge_list.hpp"
-#include "sssp/async/async_stepping.hpp"
-#include "sssp/bellman_ford.hpp"
-#include "sssp/delta_stepping_buckets.hpp"
-#include "sssp/delta_stepping_capi.hpp"
-#include "sssp/delta_stepping_fused.hpp"
-#include "sssp/delta_stepping_graphblas.hpp"
-#include "sssp/delta_stepping_openmp.hpp"
+#include "graphblas/context.hpp"
 #include "sssp/dijkstra.hpp"
+#include "sssp/solver.hpp"
 #include "sssp/validate.hpp"
 
 namespace dsg::test {
@@ -127,131 +124,87 @@ inline void expect_distances(const std::vector<double>& got,
 }
 
 // ---------------------------------------------------------------------------
-// 3. The implementation table: every SSSP entry point under one signature.
+// 3. The registry as a table: every SSSP variant, each through its one
+//    entry point.
 // ---------------------------------------------------------------------------
 
-using SsspFn = SsspResult (*)(const grb::Matrix<double>&, Index, double);
+/// Runs one registry entry against a plan on the calling thread's default
+/// context — the registry's single entry point, spelled out.
+inline SsspResult run_registry(const GraphPlan& plan,
+                               sssp::Algorithm algorithm, Index source,
+                               const ExecOptions& exec = {}) {
+  return sssp::algorithm_info(algorithm).run(plan, grb::default_context(),
+                                             source, exec);
+}
 
+/// One registry entry at one thread count.
 struct Impl {
-  const char* name;
-  SsspFn fn;
+  std::string name;  ///< registry name, "_2t"/"_4t" suffixed when threaded
+  sssp::Algorithm algorithm;
+  int num_threads = 0;  ///< ExecOptions::num_threads (0 = default)
+
+  /// Runs the entry against a shared plan.
+  SsspResult run(const GraphPlan& plan, Index source) const {
+    ExecOptions exec;
+    exec.num_threads = num_threads;
+    return run_registry(plan, algorithm, source, exec);
+  }
+
+  /// One-off run: builds a plan for (a, delta) first.
+  SsspResult run(const grb::Matrix<double>& a, Index source,
+                 double delta) const {
+    return run(GraphPlan(grb::Matrix<double>(a), delta), source);
+  }
 };
+
+/// gtest parameter printing: the entry's name instead of a byte dump.
+inline void PrintTo(const Impl& impl, std::ostream* os) { *os << impl.name; }
+
+/// True for the registry entries that bucket by Δ (everything except the
+/// Dijkstra / Bellman–Ford baselines and rho_stepping, which schedules by
+/// frontier quantiles instead).
+inline bool uses_delta(sssp::Algorithm algorithm) {
+  return algorithm != sssp::Algorithm::kDijkstra &&
+         algorithm != sssp::Algorithm::kBellmanFord &&
+         algorithm != sssp::Algorithm::kRhoStepping;
+}
 
 namespace detail {
 
-inline SsspResult run_graphblas(const grb::Matrix<double>& a, Index s,
-                                double d) {
-  DeltaSteppingOptions o;
-  o.delta = d;
-  return delta_stepping_graphblas(a, s, o);
-}
-inline SsspResult run_graphblas_select(const grb::Matrix<double>& a, Index s,
-                                       double d) {
-  DeltaSteppingOptions o;
-  o.delta = d;
-  return delta_stepping_graphblas_select(a, s, o);
-}
-inline SsspResult run_fused(const grb::Matrix<double>& a, Index s, double d) {
-  DeltaSteppingOptions o;
-  o.delta = d;
-  return delta_stepping_fused(a, s, o);
-}
-inline SsspResult run_openmp(const grb::Matrix<double>& a, Index s, double d) {
-  OpenMpOptions o;
-  o.delta = d;
-  o.num_threads = 2;
-  return delta_stepping_openmp(a, s, o);
-}
-inline SsspResult run_openmp_mt(const grb::Matrix<double>& a, Index s,
-                                double d) {
-  OpenMpOptions o;
-  o.delta = d;
-  o.num_threads = 4;
-  return delta_stepping_openmp(a, s, o);
-}
-inline SsspResult run_buckets(const grb::Matrix<double>& a, Index s,
-                              double d) {
-  DeltaSteppingOptions o;
-  o.delta = d;
-  return delta_stepping_buckets(a, s, o);
-}
-inline SsspResult run_capi(const grb::Matrix<double>& a, Index s, double d) {
-  DeltaSteppingOptions o;
-  o.delta = d;
-  return delta_stepping_capi(a, s, o);
-}
-inline SsspResult run_async_delta(const grb::Matrix<double>& a, Index s,
-                                  double d) {
-  AsyncSteppingOptions o;
-  o.delta = d;
-  o.num_threads = 2;
-  return delta_stepping_async(a, s, o);
-}
-inline SsspResult run_async_delta_mt(const grb::Matrix<double>& a, Index s,
-                                     double d) {
-  AsyncSteppingOptions o;
-  o.delta = d;
-  o.num_threads = 4;
-  return delta_stepping_async(a, s, o);
-}
-inline SsspResult run_rho(const grb::Matrix<double>& a, Index s, double) {
-  AsyncSteppingOptions o;
-  o.num_threads = 2;
-  return rho_stepping(a, s, o);
-}
-inline SsspResult run_rho_mt(const grb::Matrix<double>& a, Index s, double) {
-  AsyncSteppingOptions o;
-  o.num_threads = 4;
-  return rho_stepping(a, s, o);
-}
-inline SsspResult run_dijkstra(const grb::Matrix<double>& a, Index s, double) {
-  return dijkstra(a, s);
-}
-inline SsspResult run_bellman_ford(const grb::Matrix<double>& a, Index s,
-                                   double) {
-  return bellman_ford(a, s);
-}
-inline SsspResult run_bellman_ford_rounds(const grb::Matrix<double>& a,
-                                          Index s, double) {
-  return bellman_ford_rounds(a, s);
+/// The registry in enum order.  Threaded entries (openmp and the async
+/// engines) appear at 2 and 4 threads, so parallel bugs that need more
+/// than two threads still have a chance to surface.
+inline std::vector<Impl> registry_impls(bool delta_only) {
+  std::vector<Impl> impls;
+  for (const sssp::AlgorithmInfo& info : sssp::algorithm_registry()) {
+    if (delta_only && !uses_delta(info.id)) continue;
+    if (!info.threaded) {
+      impls.push_back({info.name, info.id});
+      continue;
+    }
+    for (int threads : {2, 4}) {
+      impls.push_back({std::string(info.name) + "_" +
+                           std::to_string(threads) + "t",
+                       info.id, threads});
+    }
+  }
+  return impls;
 }
 
 }  // namespace detail
 
-/// The delta-stepping variants (paper Fig. 2 and its optimizations), with
-/// the OpenMP one at two thread counts so parallel bugs that need >2
-/// threads still have a chance to surface.  Non-negative weights required;
-/// delta is honored.
+/// The delta-stepping variants (paper Fig. 2 and its optimizations,
+/// including the async engine, whose *distances* honor Δ-independence like
+/// every other variant).  Δ is honored.
 inline const std::vector<Impl>& delta_stepping_impls() {
-  static const std::vector<Impl> impls = {
-      {"graphblas", detail::run_graphblas},
-      {"graphblas_select", detail::run_graphblas_select},
-      {"fused", detail::run_fused},
-      {"openmp", detail::run_openmp},
-      {"openmp_4t", detail::run_openmp_mt},
-      {"buckets", detail::run_buckets},
-      {"capi", detail::run_capi},
-      // The lock-free async engine at two thread counts.  Its *distances*
-      // honor delta-independence like every other variant (they are the
-      // unique fp fixed point), so it belongs in every parity sweep.
-      {"delta_stepping_async_2t", detail::run_async_delta},
-      {"delta_stepping_async_4t", detail::run_async_delta_mt},
-  };
+  static const std::vector<Impl> impls = detail::registry_impls(true);
   return impls;
 }
 
-/// Everything, baselines included (delta ignored by the baselines and by
-/// rho_stepping, which schedules by frontier quantiles instead of buckets).
+/// The whole registry, baselines included (Δ ignored by the baselines and
+/// by rho_stepping).
 inline const std::vector<Impl>& all_sssp_impls() {
-  static const std::vector<Impl> impls = [] {
-    std::vector<Impl> v = delta_stepping_impls();
-    v.push_back({"rho_stepping_2t", detail::run_rho});
-    v.push_back({"rho_stepping_4t", detail::run_rho_mt});
-    v.push_back({"dijkstra", detail::run_dijkstra});
-    v.push_back({"bellman_ford", detail::run_bellman_ford});
-    v.push_back({"bellman_ford_rounds", detail::run_bellman_ford_rounds});
-    return v;
-  }();
+  static const std::vector<Impl> impls = detail::registry_impls(false);
   return impls;
 }
 
@@ -293,10 +246,10 @@ void run_concurrent_stress(int num_threads, std::uint64_t seed, Body&& body) {
 
 }  // namespace dsg::test
 
-/// Table-driven cross-implementation parity: runs every implementation in
-/// `impls` on (matrix, source, delta) and checks each result against the
-/// structural SSSP invariants and against a single shared Dijkstra
-/// reference (itself validated first).
+/// Table-driven cross-implementation parity: builds one GraphPlan for
+/// (matrix, delta), runs every entry of `impls` on it from `source` and
+/// checks each result against the structural SSSP invariants and against a
+/// single shared Dijkstra reference (itself validated first).
 #define DSG_CHECK_IMPL_PARITY(impls, matrix, source, delta)                  \
   do {                                                                       \
     const auto& dsg_parity_a = (matrix);                                     \
@@ -305,9 +258,11 @@ void run_concurrent_stress(int num_threads, std::uint64_t seed, Body&& body) {
         ::dsg::validate_sssp(dsg_parity_a, (source), dsg_parity_ref.dist);   \
     ASSERT_TRUE(dsg_ref_val.ok) << "dijkstra invalid: "                      \
                                 << dsg_ref_val.message;                      \
+    const ::dsg::GraphPlan dsg_parity_plan(                                  \
+        ::grb::Matrix<double>(dsg_parity_a), (delta));                       \
     for (const auto& dsg_impl : (impls)) {                                   \
-      SCOPED_TRACE(std::string("impl=") + dsg_impl.name);                    \
-      const auto dsg_r = dsg_impl.fn(dsg_parity_a, (source), (delta));       \
+      SCOPED_TRACE("impl=" + dsg_impl.name);                                 \
+      const auto dsg_r = dsg_impl.run(dsg_parity_plan, (source));            \
       const auto dsg_cmp =                                                   \
           ::dsg::compare_distances(dsg_parity_ref.dist, dsg_r.dist, 1e-9);   \
       EXPECT_TRUE(dsg_cmp.ok) << dsg_cmp.message;                            \
