@@ -9,12 +9,11 @@
 // graphblas slower by the Fig. 3 factor; graphblas_select between the two
 // (it fuses filters but not the cross-operation data movement).
 //
-// Flags: --quick, --graphs N, --csv, --delta D.
+// Flags: --quick, --graphs N, --json, --delta D.
 #include <iostream>
 #include <memory>
 
 #include "bench_common.hpp"
-#include "bench_support/reporter.hpp"
 #include "sssp/solver.hpp"
 
 int main(int argc, char** argv) {
@@ -24,8 +23,9 @@ int main(int argc, char** argv) {
   const double delta = args.get_double("delta", 1.0);
 
   TableReporter table(
+      "baselines",
       "ABL-BASE: warm per-query ms by registry algorithm, delta=" +
-      format_double(delta, 2));
+          format_double(delta, 2));
   std::vector<std::string> header = {"graph", "nodes", "split_plan_ms"};
   for (const auto& info : sssp::algorithm_registry()) {
     header.push_back(info.name);
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     auto a = std::make_shared<const grb::Matrix<double>>(graph.to_matrix());
     const int reps = bench::reps_for(a->nrows());
 
-    std::vector<std::string> row = {entry.name, std::to_string(a->nrows())};
+    std::vector<Cell> row = {entry.name, a->nrows()};
     bool first = true;
     for (const auto& info : sssp::algorithm_registry()) {
       sssp::SolverOptions options;
@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
         // re-pays per query.  The graphblas family pays this plus the
         // grb-matrix materialization; bellman_ford/dijkstra pay only the
         // validation scan.
-        row.push_back(format_ms(solver.plan().setup_seconds() * 1000.0));
+        row.emplace_back(solver.plan().setup_seconds() * 1000.0);
         first = false;
       }
-      row.push_back(format_ms(ms));
+      row.emplace_back(ms);
     }
     table.add_row(std::move(row));
   }
@@ -67,10 +67,6 @@ int main(int argc, char** argv) {
   table.add_footer("expected shape: fused/buckets/dijkstra within small "
                    "factors; graphblas slower by the Fig. 3 factor; "
                    "graphblas_select in between.");
-  if (args.has("csv")) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(table, args);
   return 0;
 }

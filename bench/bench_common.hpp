@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "bench_support/cli.hpp"
+#include "bench_support/reporter.hpp"
 #include "bench_support/stats.hpp"
 #include "bench_support/suite.hpp"
 #include "bench_support/timer.hpp"
@@ -54,6 +55,17 @@ inline std::vector<SuiteEntry> select_suite(const CliArgs& args) {
   if (args.has("quick")) return quick_suite(4);
   const auto n = static_cast<std::size_t>(args.get_int("graphs", 0));
   return n > 0 ? quick_suite(n) : benchmark_suite();
+}
+
+/// Prints `table` as one JSON line with --json (what
+/// scripts/bench_baseline.sh merges into BENCH_sssp.json), else as the
+/// aligned human-readable table.
+inline void emit(const TableReporter& table, const CliArgs& args) {
+  if (args.has("json")) {
+    table.print_json(std::cout);
+  } else {
+    table.print(std::cout);
+  }
 }
 
 }  // namespace dsg::bench

@@ -7,20 +7,22 @@
 // Each Δ runs through its own SsspSolver, so the numbers are warm
 // per-query costs (the Δ-dependent split is built once per Δ, outside the
 // timed region).  The plan's auto-Δ heuristic (max_weight / avg_degree) is
-// swept alongside and marked, as a sanity check that it lands near the
-// U-curve's basin.
+// swept alongside and flagged in the `auto` column, as a sanity check that
+// it lands near the U-curve's basin.  The two limits, Dijkstra and
+// Bellman-Ford, follow each graph's sweep as reference rows; they read no
+// Δ and have no buckets or light phases, so those cells are null.
 //
 // Runs on weighted suite variants (uniform [0.1, 10) weights) so the
 // light/heavy split is non-trivial.
 //
-// Flags: --graphs N (default 4), --csv, --deltas "0.1,0.5,1,..".
+// Flags: --graphs N (default 4), --json, --deltas "0.1,0.5,1,..".
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "bench_common.hpp"
-#include "bench_support/reporter.hpp"
 #include "graphblas/context.hpp"
 #include "sssp/solver.hpp"
 
@@ -48,18 +50,18 @@ int main(int argc, char** argv) {
   const auto count =
       static_cast<std::size_t>(args.get_int("graphs", 4));
   if (count < suite.size()) suite.resize(count);
+  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
+
+  TableReporter table("delta_sweep",
+                      "ABL-DELTA: fused warm per-query ms across delta, "
+                      "w in [0.1,10)");
+  table.set_header({"graph", "algorithm", "delta", "auto", "ms", "buckets",
+                    "light_phases", "relax_requests"});
 
   for (const auto& entry : suite) {
     auto graph = entry.make();
     auto a = std::make_shared<const grb::Matrix<double>>(graph.to_matrix());
-    const Index n = a->nrows();
-    const int reps = bench::reps_for(n);
-
-    TableReporter table("ABL-DELTA: " + entry.name + " (|V|=" +
-                        std::to_string(n) + ", |E|=" +
-                        std::to_string(a->nvals()) + ", w in [0.1,10))");
-    table.set_header({"delta", "ms", "buckets", "light_phases",
-                      "relax_requests"});
+    const int reps = bench::reps_for(a->nrows());
 
     // The heuristic's pick joins the sweep, tagged in the table.
     const sssp::SsspSolver probe(a);  // delta = kAutoDelta
@@ -80,37 +82,34 @@ int main(int argc, char** argv) {
             return result;
           },
           *a, 0, reps);
-      const bool is_auto = delta == auto_delta;
-      table.add_row({format_double(delta, 2) + (is_auto ? " (auto)" : ""),
-                     format_ms(ms),
-                     std::to_string(result.stats.outer_iterations),
-                     std::to_string(result.stats.light_phases),
-                     std::to_string(result.stats.relax_requests)});
+      table.add_row({entry.name, "fused", delta, delta == auto_delta, ms,
+                     result.stats.outer_iterations, result.stats.light_phases,
+                     result.stats.relax_requests});
     }
 
     // Reference points: the two limits delta-stepping interpolates, run
     // through the registry on the probe's plan (neither reads its Δ).
-    auto reference_ms = [&](sssp::Algorithm algorithm) {
+    for (const sssp::Algorithm algorithm :
+         {sssp::Algorithm::kDijkstra, sssp::Algorithm::kBellmanFord}) {
       grb::Context ctx;
       const sssp::AlgorithmInfo& info = sssp::algorithm_info(algorithm);
-      return bench::time_best_ms(
-          [&] { return info.run(probe.plan(), ctx, 0, {}); }, *a, 0, reps);
-    };
-    const double dij_ms = reference_ms(sssp::Algorithm::kDijkstra);
-    const double bf_ms = reference_ms(sssp::Algorithm::kBellmanFord);
-    table.add_footer("dijkstra (binary heap): " + format_ms(dij_ms));
-    table.add_footer("bellman-ford (worklist): " + format_ms(bf_ms));
-    table.add_footer("auto-delta heuristic picked " +
-                     format_double(auto_delta, 3) +
-                     " (max_weight / avg_degree, clamped to min weight)");
-    table.add_footer("shape check: small delta -> many buckets / few "
-                     "wasted relaxations; huge delta -> 1 bucket / "
-                     "Bellman-Ford-like phase count.");
-    if (args.has("csv")) {
-      table.print_csv(std::cout);
-    } else {
-      table.print(std::cout);
+      SsspResult result;
+      const double ms = bench::time_best_ms(
+          [&] {
+            result = info.run(probe.plan(), ctx, 0, {});
+            return result;
+          },
+          *a, 0, reps);
+      table.add_row({entry.name, info.name, kNull, false, ms, kNull, kNull,
+                     result.stats.relax_requests});
     }
   }
+
+  table.add_footer("auto = the plan's auto-delta pick (max_weight / "
+                   "avg_degree, clamped to min weight)");
+  table.add_footer("shape check: small delta -> many buckets / few "
+                   "wasted relaxations; huge delta -> 1 bucket / "
+                   "Bellman-Ford-like phase count.");
+  bench::emit(table, args);
   return 0;
 }

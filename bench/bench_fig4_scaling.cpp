@@ -18,7 +18,7 @@
 // before timing (time_best_ms), so the async engines' numbers are from
 // runs whose distances are provably correct at that thread count.
 //
-// Flags: --quick, --graphs N, --csv, --delta D, --threads "2,4", --check.
+// Flags: --quick, --graphs N, --json, --delta D, --threads "2,4", --check.
 //   --check  gate (stderr, exit 1 on failure): on the gate graphs
 //            (grid-128x128, rmat-16) the best async self-relative speedup
 //            at the largest thread count must be >= the best deterministic
@@ -33,7 +33,6 @@
 #include <thread>
 
 #include "bench_common.hpp"
-#include "bench_support/reporter.hpp"
 #include "sssp/solver.hpp"
 
 namespace {
@@ -67,9 +66,10 @@ int main(int argc, char** argv) {
   }
 
   TableReporter table(
+      "async_scaling",
       "FIG4: per-engine self-relative thread scaling (registry-driven), "
       "delta=" + format_double(delta, 2));
-  std::vector<std::string> header{"graph", "nodes", "engine", "t1_ms"};
+  std::vector<std::string> header{"graph", "nodes", "algorithm", "t1_ms"};
   for (int t : threads) header.push_back(std::to_string(t) + "t_speedup");
   table.set_header(header);
 
@@ -93,13 +93,12 @@ int main(int argc, char** argv) {
             [&] { return engine->run(plan, ctx, 0, exec); }, a, 0, reps);
       };
       const double t1_ms = timed(1);
-      std::vector<std::string> row{entry.name, std::to_string(n),
-                                   engine->name, format_ms(t1_ms)};
+      std::vector<Cell> row{entry.name, n, engine->name, t1_ms};
       for (int t : threads) {
         const double speedup = t1_ms / timed(t);
         engine_speedups[engine->name].push_back(speedup);
         if (t == max_threads) at_max[entry.name][engine->name] = speedup;
-        row.push_back(format_double(speedup, 2) + "x");
+        row.emplace_back(speedup);
       }
       table.add_row(std::move(row));
     }
@@ -112,11 +111,7 @@ int main(int argc, char** argv) {
                                    2) +
                      "x   (paper Fig. 4 openmp reference: 1.44x @2t, 1.5x @4t)");
   }
-  if (args.has("csv")) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(table, args);
 
   if (!args.has("check")) return 0;
 

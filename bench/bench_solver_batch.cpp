@@ -23,7 +23,7 @@
 //   - serving cache-on qps >= 1.5x cache-off qps at >= 50% repeated
 //     sources (the result cache pays under realistic skewed traffic).
 //
-// Flags: --quick / --graphs N, --csv, --algo NAME (default fused),
+// Flags: --quick / --graphs N, --json, --algo NAME (default fused),
 //        --delta D (default 1.0, suite graphs are unit-weight), --check.
 #include <algorithm>
 #include <cstdlib>
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_support/reporter.hpp"
 #include "serving/server.hpp"
 #include "sssp/delta_stepping_graphblas.hpp"
 #include "sssp/solver.hpp"
@@ -69,8 +68,9 @@ int main(int argc, char** argv) {
 
   // --- 1. Throughput table over the suite. --------------------------------
   auto suite = bench::select_suite(args);
-  TableReporter table("SOLVER-BATCH: warm-plan throughput, algo=" +
-                      algo_name + ", delta=" + format_double(delta, 2));
+  TableReporter table("solver_batch",
+                      "SOLVER-BATCH: warm-plan throughput, algo=" +
+                          algo_name + ", delta=" + format_double(delta, 2));
   table.set_header(
       {"graph", "nodes", "edges", "batch", "total_ms", "queries_per_sec"});
 
@@ -105,17 +105,11 @@ int main(int argc, char** argv) {
       if (results.size() != batch) return 1;
       const double qps = ms > 0.0 ? 1000.0 * static_cast<double>(batch) / ms
                                   : 0.0;
-      table.add_row({entry.name, std::to_string(n), std::to_string(a.nvals()),
-                     std::to_string(batch), format_ms(ms),
-                     format_double(qps, 1)});
+      table.add_row({entry.name, n, a.nvals(), batch, ms, qps});
     }
   }
 
-  if (args.has("csv")) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(table, args);
 
   // --- 2. Amortization on a fig3-scale graph (rmat-13 stand-in). ----------
   SuiteEntry big;
@@ -171,23 +165,18 @@ int main(int argc, char** argv) {
 
   const double one_shot_speedup = one_shot_ms / batch_ms;
   const double warm_ratio = batch_ms / warm_ms;
-  TableReporter amort("SOLVER-BATCH amortization: " + big.name + " (|V|=" +
-                      std::to_string(big_n) + "), 64 queries, algo=" +
-                      algo_name);
+  TableReporter amort("solver_batch_amortization",
+                      "SOLVER-BATCH amortization: " + big.name + " (|V|=" +
+                          std::to_string(big_n) + "), 64 queries, algo=" +
+                          algo_name);
   amort.set_header({"metric", "total_ms", "vs_batch"});
-  amort.add_row({"one_shot_64_solvers", format_ms(one_shot_ms),
-                 format_double(one_shot_speedup, 2) + "x slower"});
-  amort.add_row({"warm_64_solves", format_ms(warm_ms),
-                 format_double(warm_ms / batch_ms, 2) + "x"});
-  amort.add_row({"solve_batch_64", format_ms(batch_ms), "1.00x"});
+  amort.add_row({"one_shot_64_solvers", one_shot_ms, one_shot_speedup});
+  amort.add_row({"warm_64_solves", warm_ms, warm_ms / batch_ms});
+  amort.add_row({"solve_batch_64", batch_ms, 1.0});
   amort.add_footer(
       "gate: batch < 2x warm solves AND one-shot >= 1.5x batch "
       "(plan + workspace amortization)");
-  if (args.has("csv")) {
-    amort.print_csv(std::cout);
-  } else {
-    amort.print(std::cout);
-  }
+  bench::emit(amort, args);
 
   // --- 3. Storage-representation effect on the GraphBLAS variant ----------
   // (record only, no gate: the dense-path perf gate lives in bench_spmspv;
@@ -219,18 +208,14 @@ int main(int argc, char** argv) {
     run_all(ctx_off);
     const double off_ms = off_timer.milliseconds();
 
-    TableReporter rep("SOLVER-BATCH representation: " + big.name +
-                      ", 8 graphblas queries, dense auto-switching on/off");
+    TableReporter rep("solver_batch_representation",
+                      "SOLVER-BATCH representation: " + big.name +
+                          ", 8 graphblas queries, dense auto-switching on/off");
     rep.set_header({"metric", "total_ms", "vs_auto_on"});
-    rep.add_row({"auto_representation_on", format_ms(on_ms), "1.00x"});
-    rep.add_row({"auto_representation_off", format_ms(off_ms),
-                 format_double(off_ms / on_ms, 2) + "x"});
+    rep.add_row({"auto_representation_on", on_ms, 1.0});
+    rep.add_row({"auto_representation_off", off_ms, off_ms / on_ms});
     rep.add_footer("record only; dense-path gate lives in bench_spmspv");
-    if (args.has("csv")) {
-      rep.print_csv(std::cout);
-    } else {
-      rep.print(std::cout);
-    }
+    bench::emit(rep, args);
   }
 
   // --- 4. Serving: sustained closed-loop traffic through SsspServer. ------
@@ -362,29 +347,22 @@ int main(int argc, char** argv) {
     serving_min_hits = kQueries / 2 - kHotSources - 8;
 
     TableReporter serving_table(
+        "serving",
         "SOLVER-BATCH serving: " + big.name + " closed loop, " +
-        std::to_string(kClients) + " clients x " +
-        std::to_string(kQueriesPerClient) + " queries, 2 workers, algo=" +
-        on.algorithm + " (auto), hot set " + std::to_string(kHotSources));
+            std::to_string(kClients) + " clients x " +
+            std::to_string(kQueriesPerClient) + " queries, 2 workers, algo=" +
+            on.algorithm + " (auto), hot set " + std::to_string(kHotSources));
     serving_table.set_header({"leg", "queries", "total_ms", "qps", "p50_ms",
                               "p99_ms", "cache_hits", "cache_misses"});
-    serving_table.add_row(
-        {"cache_on", std::to_string(kQueries), format_ms(on.total_ms),
-         format_double(on.qps, 1), format_ms(on.p50_ms), format_ms(on.p99_ms),
-         std::to_string(on.stats.cache.hits),
-         std::to_string(on.stats.cache.misses)});
-    serving_table.add_row(
-        {"cache_off", std::to_string(kQueries), format_ms(off.total_ms),
-         format_double(off.qps, 1), format_ms(off.p50_ms),
-         format_ms(off.p99_ms), std::to_string(off.stats.cache.hits),
-         std::to_string(off.stats.cache.misses)});
+    serving_table.add_row({"cache_on", kQueries, on.total_ms, on.qps,
+                           on.p50_ms, on.p99_ms, on.stats.cache.hits,
+                           on.stats.cache.misses});
+    serving_table.add_row({"cache_off", kQueries, off.total_ms, off.qps,
+                           off.p50_ms, off.p99_ms, off.stats.cache.hits,
+                           off.stats.cache.misses});
     serving_table.add_footer(
         "gate: cache_on qps >= 1.5x cache_off at >= 50% repeated sources");
-    if (args.has("csv")) {
-      serving_table.print_csv(std::cout);
-    } else {
-      serving_table.print(std::cout);
-    }
+    bench::emit(serving_table, args);
   }
 
   if (check) {
@@ -418,7 +396,7 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!ok) return 1;
-    // stderr: keeps --csv stdout machine-parseable.
+    // stderr: keeps --json stdout machine-parseable.
     std::cerr << "gate passed: one-shot/batch = "
               << format_double(one_shot_speedup, 2)
               << "x, batch/warm = " << format_double(warm_ratio, 2)

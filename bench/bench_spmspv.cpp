@@ -36,9 +36,7 @@
 // default size, n >= 1<<20, so CI smoke runs with --n smaller stay
 // meaningful; the bit-identity checks are enforced at every size).
 //
-// Flags: --n N (default 1<<20), --deg D (default 8), --csv, --check
-// (accepted for symmetry with bench_solver_batch; gates are on by default
-// at full scale).
+// Flags: --n N (default 1<<20), --deg D (default 8), --json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -49,13 +47,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_support/reporter.hpp"
 #include "graphblas/graphblas.hpp"
 
 namespace {
 
 using dsg::format_double;
-using dsg::format_ms;
 using grb::Index;
 
 grb::Matrix<double> random_graph(Index n, int deg, std::uint64_t seed) {
@@ -140,10 +136,11 @@ int main(int argc, char** argv) {
 
   auto a = random_graph(n, deg, 42);
 
-  TableReporter table("SPMSPV: sparse-frontier vxm, workspace reuse vs "
+  TableReporter table("spmspv",
+                      "SPMSPV: sparse-frontier vxm, workspace reuse vs "
                       "per-call reset (n=" +
-                      std::to_string(n) + ", deg=" + std::to_string(deg) +
-                      ")");
+                          std::to_string(n) + ", deg=" + std::to_string(deg) +
+                          ")");
   table.set_header(
       {"frontier", "cold_ms", "reused_ms", "speedup", "ratio_vs_gate"});
 
@@ -172,18 +169,12 @@ int main(int argc, char** argv) {
 
     const double speedup = cold / reused;
     if (frontier == 16) gate_speedup = speedup;
-    table.add_row({std::to_string(frontier), format_ms(cold),
-                   format_ms(reused), format_double(speedup, 2) + "x",
-                   format_double(speedup / 5.0, 2)});
+    table.add_row({frontier, cold, reused, speedup, speedup / 5.0});
   }
 
   table.add_footer("gate: frontier=16 must be >= 5x; measured " +
                    format_double(gate_speedup, 2) + "x");
-  if (args.has("csv")) {
-    table.print_csv(std::cout);
-  } else {
-    table.print(std::cout);
-  }
+  bench::emit(table, args);
 
   // --- Section 2: point-wise ops, sparse vs dense representation. ----------
   //
@@ -241,8 +232,9 @@ int main(int argc, char** argv) {
   };
 
   TableReporter ptable(
+      "spmspv_pointwise",
       "POINTWISE: sparse vs dense representation (n=" + std::to_string(n) +
-      ", density=" + format_double(kDensity, 2) + ")");
+          ", density=" + format_double(kDensity, 2) + ")");
   ptable.set_header({"op", "sparse_ms", "dense_ms", "speedup"});
 
   bool identical = true;
@@ -307,19 +299,14 @@ int main(int argc, char** argv) {
 
     const double speedup = sparse_ms / dense_ms;
     speedup_product *= speedup;
-    ptable.add_row({op.name, format_ms(sparse_ms), format_ms(dense_ms),
-                    format_double(speedup, 2) + "x"});
+    ptable.add_row({op.name, sparse_ms, dense_ms, speedup});
   }
   const double geomean =
       std::pow(speedup_product, 1.0 / static_cast<double>(
                                           pointwise_ops.size()));
   ptable.add_footer("gate: geomean dense-path speedup >= 2x; measured " +
                     format_double(geomean, 2) + "x");
-  if (args.has("csv")) {
-    ptable.print_csv(std::cout);
-  } else {
-    ptable.print(std::cout);
-  }
+  bench::emit(ptable, args);
 
   // --- Section 3: word-packed vs byte-per-position bitmap. -----------------
   //
@@ -408,9 +395,11 @@ int main(int argc, char** argv) {
     };
 
     TableReporter wtable(
+        "spmspv_wordpack",
         "WORDPACK: probe-bound dense ops, byte-bitmap reference vs "
         "word-packed (n=" +
-        std::to_string(n) + ", density=" + format_double(kDensity, 2) + ")");
+            std::to_string(n) + ", density=" + format_double(kDensity, 2) +
+            ")");
     wtable.set_header({"op", "byte_ms", "word_ms", "speedup"});
 
     // The word side is timed with the output-compaction heuristic pinned
@@ -456,8 +445,7 @@ int main(int argc, char** argv) {
           [&] { op->run(ctx_word, wword, t_dense, m_dense); }, 3, calls);
       const double speedup = byte_ms / word_ms;
       product *= speedup;
-      wtable.add_row({row.name, format_ms(byte_ms), format_ms(word_ms),
-                      format_double(speedup, 2) + "x"});
+      wtable.add_row({row.name, byte_ms, word_ms, speedup});
     }
     wordpack_geomean =
         std::pow(product, 1.0 / static_cast<double>(rows.size()));
@@ -465,11 +453,7 @@ int main(int argc, char** argv) {
         "gate: geomean word-packed speedup >= 1.3x over the byte-bitmap "
         "reference; measured " +
         format_double(wordpack_geomean, 2) + "x");
-    if (args.has("csv")) {
-      wtable.print_csv(std::cout);
-    } else {
-      wtable.print(std::cout);
-    }
+    bench::emit(wtable, args);
   }
 
   if (!identical) return 1;  // representations must agree at every size

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     const std::string label =
         format_double(delta, 3) + (scale == 1.0 ? " (auto)" : "");
     std::cout << std::left << std::setw(14) << label << std::setw(10)
-              << format_ms(ms) << std::setw(10)
+              << format_double(ms, 3) << std::setw(10)
               << result.stats.outer_iterations << std::setw(14)
               << result.stats.light_phases << std::setw(16)
               << result.stats.relax_requests << "\n";
@@ -78,14 +78,14 @@ int main(int argc, char** argv) {
 
   WallTimer dij_timer;
   dijkstra(*a, 0);
-  std::cout << "\ndijkstra:     " << format_ms(dij_timer.milliseconds())
-            << "\n";
+  std::cout << "\ndijkstra:     "
+            << format_double(dij_timer.milliseconds(), 3) << " ms\n";
   sssp::SsspSolver bellman_ford(a,
                                 {.algorithm = sssp::Algorithm::kBellmanFord});
   WallTimer bf_timer;
   bellman_ford.solve(0);
-  std::cout << "bellman-ford: " << format_ms(bf_timer.milliseconds())
-            << "\n";
+  std::cout << "bellman-ford: " << format_double(bf_timer.milliseconds(), 3)
+            << " ms\n";
   std::cout << "\nreading the table: tiny delta ~ Dijkstra (many buckets, "
                "no wasted work); huge delta ~ Bellman-Ford (one bucket, "
                "many correction phases).  The auto row is the heuristic's "

@@ -1,9 +1,9 @@
 // suite.hpp — the standard benchmark graph suite.
 //
 // Stand-ins for the SNAP / GraphChallenge collection the paper uses
-// (symmetric, undirected, unit weights; see DESIGN.md §4 for the
-// substitution argument).  Graphs are listed in ascending node count, the
-// sort order of Fig. 3 / Fig. 4's x-axes.
+// (symmetric, undirected, unit weights); each entry's `stand_in` names the
+// dataset family it substitutes.  Graphs are listed in ascending node
+// count, the sort order of Fig. 3 / Fig. 4's x-axes.
 #pragma once
 
 #include <functional>

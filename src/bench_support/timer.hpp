@@ -1,22 +1,12 @@
-// timer.hpp — measurement primitives.
+// timer.hpp — the harness's wall-clock stopwatch.
 //
-// The paper times with the Intel RDTSC instruction at fixed CPU frequency.
-// We provide both an rdtsc cycle counter (x86-64 only) and a monotonic
-// wall-clock timer; the harness reports milliseconds like Fig. 3 and uses
-// wall time as ground truth (the container's frequency is not pinned).
+// The paper times with RDTSC at a fixed CPU frequency; the harness uses
+// monotonic wall time instead, since the host's frequency is not pinned.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace dsg {
-
-/// Reads the time-stamp counter; 0 on non-x86 builds.
-std::uint64_t read_tsc();
-
-/// Estimates the TSC frequency (ticks/second) by spinning ~50ms against
-/// steady_clock.  Returns 0 when the TSC is unavailable.
-double estimate_tsc_hz();
 
 /// Monotonic wall-clock stopwatch.
 class WallTimer {
@@ -35,17 +25,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Cycle-counter stopwatch in the spirit of the paper's RDTSC timing.
-class TscTimer {
- public:
-  TscTimer() : start_(read_tsc()) {}
-  void reset() { start_ = read_tsc(); }
-  std::uint64_t ticks() const { return read_tsc() - start_; }
-
- private:
-  std::uint64_t start_;
 };
 
 }  // namespace dsg

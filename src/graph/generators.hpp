@@ -3,7 +3,8 @@
 // The paper's evaluation uses real SNAP / GraphChallenge graphs (symmetric,
 // undirected, unit weights).  Those datasets are not available offline, so
 // the benchmark suite substitutes generator families that span the same
-// structural regimes (see DESIGN.md §4):
+// structural regimes (bench_support/suite.cpp maps each suite graph to the
+// dataset family it stands in for):
 //   - rmat            : skewed-degree, low-diameter (social / citation nets)
 //   - erdos_renyi     : uniform random, low diameter
 //   - grid2d          : bounded degree, high diameter (road networks)

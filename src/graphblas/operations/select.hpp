@@ -3,7 +3,8 @@
 //
 // select() is the *fused* alternative to the paper's double-apply filter
 // idiom: one pass instead of "apply predicate -> boolean object -> apply
-// identity under mask".  The ABL-OPS benchmark contrasts the two.
+// identity under mask".  bench_baselines contrasts the two end to end
+// (its graphblas vs graphblas_select columns).
 #pragma once
 
 #include <vector>

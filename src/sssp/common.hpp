@@ -19,8 +19,9 @@ using grb::Index;
 inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 
 /// Per-run instrumentation.  The counters expose the algorithm's control
-/// structure (bucket count, phase count) and the timers feed the SEC6B
-/// phase-breakdown benchmark.
+/// structure (bucket count, phase count) and the timers feed e2ebench's
+/// `sssp.*` phase metrics; the plan's setup cost is reported separately
+/// (GraphPlan::setup_seconds(), bench_fig3_fusion's fused_setup_ms).
 struct SsspStats {
   std::uint64_t outer_iterations = 0;  ///< buckets processed (i increments)
   std::uint64_t light_phases = 0;      ///< inner-loop light relaxation rounds

@@ -41,7 +41,8 @@ SsspResult delta_stepping_graphblas(const GraphPlan& plan, grb::Context& ctx,
 
 /// Variant using one fused grb::select per filter instead of the
 /// double-apply idiom — the "what if the API had first-class selection"
-/// ablation (still unfused across operations).  Used by ABL-OPS.
+/// ablation (still unfused across operations); bench_baselines times it
+/// against delta_stepping_graphblas.
 SsspResult delta_stepping_graphblas_select(const GraphPlan& plan,
                                            grb::Context& ctx, Index source,
                                            const ExecOptions& exec = {});

@@ -41,7 +41,7 @@ namespace dsg::sssp {
 enum class Algorithm {
   kBuckets = 0,          ///< canonical Meyer–Sanders buckets (Fig. 1 right)
   kGraphblas = 1,        ///< unfused GraphBLAS formulation (Fig. 2)
-  kGraphblasSelect = 2,  ///< GraphBLAS with fused select filters (ABL-OPS)
+  kGraphblasSelect = 2,  ///< GraphBLAS, select filters (bench_baselines)
   kCapi = 3,             ///< the Fig. 2 C-API transcription (not thread-safe)
   kFused = 4,            ///< fused C implementation (Sec. VI-B) — default
   kOpenmp = 5,           ///< task-parallel fused (Sec. VI-C)
