@@ -43,13 +43,38 @@ template <typename Accum>
 inline constexpr bool is_no_accum_v =
     std::is_same_v<std::decay_t<Accum>, NoAccumulate>;
 
+/// Truth word of 64 consecutive one-byte values: bit b is set iff p[b] is
+/// nonzero.  Branch-free: each group of eight bytes is assembled low byte
+/// first (an endian-neutral expression compilers fold into one 8-byte
+/// load), every byte's nonzero test lands in its high bit (SWAR: adding
+/// 0x7F carries into bit 7 unless the low seven bits are zero), and one
+/// multiply gathers the eight high bits into a single byte.
+inline BitmapWord pack_nonzero_bytes(const unsigned char* p) {
+  constexpr BitmapWord kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  constexpr BitmapWord kByteLsb = 0x0101010101010101ULL;
+  constexpr BitmapWord kGather = 0x0102040810204080ULL;
+  BitmapWord t = 0;
+  for (int k = 0; k < 8; ++k, p += 8) {
+    const BitmapWord x =
+        BitmapWord{p[0]} | BitmapWord{p[1]} << 8 | BitmapWord{p[2]} << 16 |
+        BitmapWord{p[3]} << 24 | BitmapWord{p[4]} << 32 |
+        BitmapWord{p[5]} << 40 | BitmapWord{p[6]} << 48 |
+        BitmapWord{p[7]} << 56;
+    const BitmapWord flags = ((((x & kLow7) + kLow7) | x) >> 7) & kByteLsb;
+    t |= ((flags * kGather) >> 56) << (8 * k);
+  }
+  return t;
+}
+
 /// Point query against a vector mask under descriptor flags.  Probing cost
 /// depends on the mask's storage representation:
 ///   - dense (word-packed bitmap) representation: O(1) bit test per point
 ///     probe, and — through writable_word — one 64-lane word per bulk
-///     probe, which is the structural-mask fast path of the dense kernels;
+///     probe: a structural mask is one load, a one-byte value mask (bool)
+///     one branch-free pack of its 64 values;
 ///   - sparse with every position stored (the fully-populated boolean
-///     filters of delta-stepping): direct subscript into the value array;
+///     filters of delta-stepping): direct subscript into the value array,
+///     and the same value pack per bulk probe;
 ///   - sparse otherwise: binary search per probe.
 template <typename MaskT>
 class VectorMaskProbe {
@@ -97,38 +122,20 @@ class VectorMaskProbe {
   /// Bulk probe: a 64-lane writability word for bitmap word `wd`, correct
   /// at every lane set in `candidates` (other lanes unspecified — callers
   /// AND the result against candidate-derived words).  A structural bitmap
-  /// mask answers with one whole-word AND-able load; a value bitmap mask
-  /// additionally clears stored-but-falsy candidate lanes; the sparse modes
-  /// fall back to one raw probe per candidate, exactly the per-position
+  /// mask answers with one whole-word AND-able load.  A value mask in the
+  /// bitmap or all-stored mode ANDs in value_word, one branch-free pack of
+  /// the word's 64 values when they are single bytes.  The search mode
+  /// falls back to one raw probe per candidate, exactly the per-position
   /// cost the point query already paid.
   BitmapWord writable_word(std::size_t wd, BitmapWord candidates) const {
     BitmapWord t;
     switch (mode_) {
       case Mode::kBitmap:
         t = bit_[wd];
-        if (!structural_) {
-          bitmap_for_each_in_word(
-              t & candidates, static_cast<Index>(wd) * kBitmapWordBits,
-              [&](Index i) {
-                if (val_[i] == storage_of_t<MaskT>(MaskT(0))) {
-                  t &= ~(BitmapWord{1} << (i & 63));
-                }
-              });
-        }
+        if (!structural_) t &= value_word(wd, t & candidates);
         break;
       case Mode::kAllStored:
-        if (structural_) {
-          t = ~BitmapWord{0};
-        } else {
-          t = 0;
-          bitmap_for_each_in_word(
-              candidates, static_cast<Index>(wd) * kBitmapWordBits,
-              [&](Index i) {
-                if (val_[i] != storage_of_t<MaskT>(MaskT(0))) {
-                  t |= BitmapWord{1} << (i & 63);
-                }
-              });
-        }
+        t = structural_ ? ~BitmapWord{0} : value_word(wd, candidates);
         break;
       default:
         t = 0;
@@ -142,6 +149,26 @@ class VectorMaskProbe {
   }
 
  private:
+  /// Value truth (stored value nonzero) of word wd's positions, correct at
+  /// the lanes in `lanes`; val_ must index by position.  A full word of
+  /// one-byte values is packed whole; the partial last word and wider
+  /// value types test each lane in `lanes`.
+  BitmapWord value_word(std::size_t wd, BitmapWord lanes) const {
+    const Index base = static_cast<Index>(wd) * kBitmapWordBits;
+    using S = storage_of_t<MaskT>;
+    if constexpr (sizeof(S) == 1 && std::is_integral_v<S>) {
+      if (base + kBitmapWordBits <= mask_->size()) {
+        return pack_nonzero_bytes(
+            reinterpret_cast<const unsigned char*>(val_ + base));
+      }
+    }
+    BitmapWord t = 0;
+    bitmap_for_each_in_word(lanes, base, [&](Index i) {
+      if (val_[i] != S(MaskT(0))) t |= BitmapWord{1} << (i & 63);
+    });
+    return t;
+  }
+
   /// Mask truth before descriptor complement.
   bool raw(Index i) const {
     switch (mode_) {
@@ -208,7 +235,8 @@ struct AlwaysFalseProbe {
 /// whose padding/absent lanes are zero, so unspecified lanes never reach
 /// an output.  No-mask probes are whole-word constants; a VectorMaskProbe
 /// answers through its writable_word (one AND-able load for structural
-/// bitmap masks); anything else degrades to one point probe per candidate,
+/// bitmap masks, one byte pack for bool value masks); anything else
+/// degrades to one point probe per candidate,
 /// the same cost the positional kernels paid per candidate before.
 template <typename Probe>
 inline BitmapWord probe_writable_word(const Probe& probe, std::size_t wd,
@@ -393,116 +421,116 @@ void masked_write_vector_dense(Context& ctx, Vector<W>& w,
                                const Probe& probe, const Accum& accum,
                                bool replace, bool z_prefiltered = false) {
   const Index n = w.size();
-  // Like the sparse rvalue fast path: W and Z must be the *same element
-  // type* (not merely the same storage type) so the adoption cannot skip
-  // the value-normalizing casts of the general path (bool vs uchar).
-  if constexpr (std::is_same_v<Probe, AlwaysTrueProbe> &&
-                is_no_accum_v<Accum> && std::is_same_v<W, Z>) {
-    // Every position writable, result is exactly z: adopt the stage's
-    // buffers; the stage inherits w's previous dense buffers (capacity
-    // ping-pong, like the sparse write scratch).
-    (void)replace;
-    (void)z_prefiltered;
-    ++ctx.dense_writes;
-    w.swap_dense_storage(z.bit, z.val, znnz);
-    ctx.manage_representation(w);
-    return;
-  } else {
-    auto& out = ctx.get<DenseWriteStage<storage_of_t<W>>>();
-    out.reset(n);
-    Index nnz = 0;
-
-    const bool w_dense = w.is_dense();
-    auto wbit = w_dense ? w.dense_bitmap() : std::span<const BitmapWord>{};
-    auto wdv = w_dense ? w.dense_values()
-                       : std::span<const storage_of_t<W>>{};
-    auto wi = w_dense ? std::span<const Index>{} : w.indices();
-    auto wv = w_dense ? std::span<const storage_of_t<W>>{} : w.values();
-    std::size_t a = 0;  // cursor into (wi, wv) when w is sparse
-
-    const std::size_t nwords = bitmap_words(n);
-    for (std::size_t wd = 0; wd < nwords; ++wd) {
-      const Index base = static_cast<Index>(wd) * kBitmapWordBits;
-      const Index bound = base + kBitmapWordBits;
-      const BitmapWord zw = z.bit[wd];
-
-      // Presence word for w; a sparse w also remembers its entry range
-      // [a0, a) so values can be read back by cursor below.
-      BitmapWord ww = 0;
-      const std::size_t a0 = a;
-      if (w_dense) {
-        ww = wbit[wd];
-      } else {
-        while (a < wi.size() && wi[a] < bound) {
-          ww |= BitmapWord{1} << (wi[a] & 63);
-          ++a;
-        }
-      }
-      if ((zw | ww) == 0) continue;  // whole-word skip of empty regions
-
-      // Prefiltered z entries are writable by contract, so the probe is
-      // only consulted at w-only lanes then — the word analogue of the old
-      // per-position `(in_z && z_prefiltered) || probe(i)` short-circuit.
-      const BitmapWord pcand = z_prefiltered ? (ww & ~zw) : (zw | ww);
-      const BitmapWord pw =
-          pcand != 0 ? probe_writable_word(probe, wd, pcand) : 0;
-      const BitmapWord writable = z_prefiltered ? (zw | pw) : pw;
-
-      BitmapWord outw;
-      if constexpr (is_no_accum_v<Accum>) {
-        const BitmapWord takez = zw & writable;
-        const BitmapWord keepw = replace ? 0 : (ww & ~writable);
-        outw = takez | keepw;
-        bitmap_for_each_in_word(takez, base, [&](Index i) {
-          out.val[i] = static_cast<W>(static_cast<Z>(z.val[i]));
-        });
-        if (keepw != 0) {
-          if (w_dense) {
-            bitmap_for_each_in_word(keepw, base,
-                                    [&](Index i) { out.val[i] = wdv[i]; });
-          } else {
-            for (std::size_t k = a0; k < a; ++k) {
-              const Index i = wi[k];
-              if (keepw & (BitmapWord{1} << (i & 63))) out.val[i] = wv[k];
-            }
-          }
-        }
-      } else {
-        const BitmapWord both = ww & zw & writable;
-        const BitmapWord zonly = zw & ~ww & writable;
-        const BitmapWord wkeep =
-            (ww & ~zw & writable) | (replace ? 0 : (ww & ~writable));
-        outw = both | zonly | wkeep;
-        bitmap_for_each_in_word(zonly, base, [&](Index i) {
-          out.val[i] = static_cast<W>(static_cast<Z>(z.val[i]));
-        });
-        if ((both | wkeep) != 0) {
-          if (w_dense) {
-            bitmap_for_each_in_word(both, base, [&](Index i) {
-              out.val[i] = static_cast<W>(accum(wdv[i], z.val[i]));
-            });
-            bitmap_for_each_in_word(wkeep, base,
-                                    [&](Index i) { out.val[i] = wdv[i]; });
-          } else {
-            for (std::size_t k = a0; k < a; ++k) {
-              const Index i = wi[k];
-              const BitmapWord lane = BitmapWord{1} << (i & 63);
-              if (both & lane) {
-                out.val[i] = static_cast<W>(accum(wv[k], z.val[i]));
-              } else if (wkeep & lane) {
-                out.val[i] = wv[k];
-              }
-            }
-          }
-        }
-      }
-      out.bit[wd] = outw;
-      nnz += static_cast<Index>(std::popcount(outw));
+  // The dense twin of the sparse rvalue fast path: with no accumulator and
+  // either no mask or a prefiltered z under replace, the result is exactly
+  // z, so w adopts the stage's buffers and the stage inherits w's previous
+  // dense buffers (capacity ping-pong, like the sparse write scratch).  W
+  // and Z must be the *same element type* (not merely the same storage
+  // type) so the adoption cannot skip the value-normalizing casts of the
+  // general path (bool vs uchar).
+  if constexpr (is_no_accum_v<Accum> && std::is_same_v<W, Z>) {
+    if (std::is_same_v<Probe, AlwaysTrueProbe> ||
+        (replace && z_prefiltered)) {
+      ++ctx.dense_writes;
+      w.swap_dense_storage(z.bit, z.val, znnz);
+      ctx.manage_representation(w);
+      return;
     }
-    ++ctx.dense_writes;
-    w.swap_dense_storage(out.bit, out.val, nnz);
-    ctx.manage_representation(w);
   }
+  auto& out = ctx.get<DenseWriteStage<storage_of_t<W>>>();
+  out.reset(n);
+  Index nnz = 0;
+
+  const bool w_dense = w.is_dense();
+  auto wbit = w_dense ? w.dense_bitmap() : std::span<const BitmapWord>{};
+  auto wdv = w_dense ? w.dense_values()
+                     : std::span<const storage_of_t<W>>{};
+  auto wi = w_dense ? std::span<const Index>{} : w.indices();
+  auto wv = w_dense ? std::span<const storage_of_t<W>>{} : w.values();
+  std::size_t a = 0;  // cursor into (wi, wv) when w is sparse
+
+  const std::size_t nwords = bitmap_words(n);
+  for (std::size_t wd = 0; wd < nwords; ++wd) {
+    const Index base = static_cast<Index>(wd) * kBitmapWordBits;
+    const Index bound = base + kBitmapWordBits;
+    const BitmapWord zw = z.bit[wd];
+
+    // Presence word for w; a sparse w also remembers its entry range
+    // [a0, a) so values can be read back by cursor below.
+    BitmapWord ww = 0;
+    const std::size_t a0 = a;
+    if (w_dense) {
+      ww = wbit[wd];
+    } else {
+      while (a < wi.size() && wi[a] < bound) {
+        ww |= BitmapWord{1} << (wi[a] & 63);
+        ++a;
+      }
+    }
+    if ((zw | ww) == 0) continue;  // whole-word skip of empty regions
+
+    // Prefiltered z entries are writable by contract, so the probe is
+    // only consulted at w-only lanes then — the word analogue of the old
+    // per-position `(in_z && z_prefiltered) || probe(i)` short-circuit.
+    const BitmapWord pcand = z_prefiltered ? (ww & ~zw) : (zw | ww);
+    const BitmapWord pw =
+        pcand != 0 ? probe_writable_word(probe, wd, pcand) : 0;
+    const BitmapWord writable = z_prefiltered ? (zw | pw) : pw;
+
+    BitmapWord outw;
+    if constexpr (is_no_accum_v<Accum>) {
+      const BitmapWord takez = zw & writable;
+      const BitmapWord keepw = replace ? 0 : (ww & ~writable);
+      outw = takez | keepw;
+      bitmap_for_each_in_word(takez, base, [&](Index i) {
+        out.val[i] = static_cast<W>(static_cast<Z>(z.val[i]));
+      });
+      if (keepw != 0) {
+        if (w_dense) {
+          bitmap_for_each_in_word(keepw, base,
+                                  [&](Index i) { out.val[i] = wdv[i]; });
+        } else {
+          for (std::size_t k = a0; k < a; ++k) {
+            const Index i = wi[k];
+            if (keepw & (BitmapWord{1} << (i & 63))) out.val[i] = wv[k];
+          }
+        }
+      }
+    } else {
+      const BitmapWord both = ww & zw & writable;
+      const BitmapWord zonly = zw & ~ww & writable;
+      const BitmapWord wkeep =
+          (ww & ~zw & writable) | (replace ? 0 : (ww & ~writable));
+      outw = both | zonly | wkeep;
+      bitmap_for_each_in_word(zonly, base, [&](Index i) {
+        out.val[i] = static_cast<W>(static_cast<Z>(z.val[i]));
+      });
+      if ((both | wkeep) != 0) {
+        if (w_dense) {
+          bitmap_for_each_in_word(both, base, [&](Index i) {
+            out.val[i] = static_cast<W>(accum(wdv[i], z.val[i]));
+          });
+          bitmap_for_each_in_word(wkeep, base,
+                                  [&](Index i) { out.val[i] = wdv[i]; });
+        } else {
+          for (std::size_t k = a0; k < a; ++k) {
+            const Index i = wi[k];
+            const BitmapWord lane = BitmapWord{1} << (i & 63);
+            if (both & lane) {
+              out.val[i] = static_cast<W>(accum(wv[k], z.val[i]));
+            } else if (wkeep & lane) {
+              out.val[i] = wv[k];
+            }
+          }
+        }
+      }
+    }
+    out.bit[wd] = outw;
+    nnz += static_cast<Index>(std::popcount(outw));
+  }
+  ++ctx.dense_writes;
+  w.swap_dense_storage(out.bit, out.val, nnz);
+  ctx.manage_representation(w);
 }
 
 /// Dispatches on mask type and invokes masked_write_vector.

@@ -162,40 +162,46 @@ Index ewise_add_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
         if (m == 0) continue;
         stage.bit[wd] = m;
         nnz += static_cast<Index>(std::popcount(m));
-        // Values, ascending within the word; sparse sides ride local
-        // cursors over their [·0, ·) entry ranges.
-        std::size_t ka = a0, kb = b0;
-        BitmapWord rest = m;
-        while (rest != 0) {
-          const Index i =
-              base + static_cast<Index>(std::countr_zero(rest));
-          rest &= rest - 1;
-          const BitmapWord lane = BitmapWord{1} << (i & 63);
-          const bool iu = (uwp & lane) != 0;
-          const bool iv = (vwp & lane) != 0;
-          storage_of_t<U> ux{};
-          storage_of_t<V> vx{};
-          if (iu) {
-            if (ud) {
-              ux = udv[i];
-            } else {
-              while (ui[ka] < i) ++ka;
-              ux = usv[ka];
+        // Values by side, each a whole-word split of m: both-lanes combine,
+        // one-sided lanes of a dense operand are copied by ctz walk, and a
+        // sparse operand rides its [·0, ·) entry range once.
+        const BitmapWord both = m & uwp & vwp;
+        const BitmapWord uonly = m & uwp & ~vwp;
+        const BitmapWord vonly = m & vwp & ~uwp;
+        auto put = [&](Index i, const auto& x) {
+          stage.val[i] = static_cast<storage_of_t<Z>>(static_cast<Z>(x));
+        };
+        if (ud && vd) {
+          bitmap_for_each_in_word(
+              both, base, [&](Index i) { put(i, op(udv[i], vdv[i])); });
+        } else if (ud) {
+          for (std::size_t k = b0; k < b; ++k) {
+            const Index i = vi[k];
+            const BitmapWord lane = BitmapWord{1} << (i & 63);
+            if (both & lane) {
+              put(i, op(udv[i], vsv[k]));
+            } else if (vonly & lane) {
+              put(i, vsv[k]);
             }
           }
-          if (iv) {
-            if (vd) {
-              vx = vdv[i];
-            } else {
-              while (vi[kb] < i) ++kb;
-              vx = vsv[kb];
+        } else {
+          for (std::size_t k = a0; k < a; ++k) {
+            const Index i = ui[k];
+            const BitmapWord lane = BitmapWord{1} << (i & 63);
+            if (both & lane) {
+              put(i, op(usv[k], vdv[i]));
+            } else if (uonly & lane) {
+              put(i, usv[k]);
             }
           }
-          stage.val[i] =
-              iu && iv
-                  ? static_cast<storage_of_t<Z>>(static_cast<Z>(op(ux, vx)))
-                  : iu ? static_cast<storage_of_t<Z>>(static_cast<Z>(ux))
-                       : static_cast<storage_of_t<Z>>(static_cast<Z>(vx));
+        }
+        if (ud) {
+          bitmap_for_each_in_word(uonly, base,
+                                  [&](Index i) { put(i, udv[i]); });
+        }
+        if (vd) {
+          bitmap_for_each_in_word(vonly, base,
+                                  [&](Index i) { put(i, vdv[i]); });
         }
       }
       return nnz;

@@ -255,6 +255,101 @@ TEST(NoMaskSemantics, AccumWithoutMaskMergesUnion) {
   EXPECT_DOUBLE_EQ(*w.extract_element(2), 2.0);
 }
 
+// --- Bulk probe. --------------------------------------------------------------
+//
+// The dense kernels probe a vector mask 64 lanes at a time through
+// writable_word: one load for a structural bitmap mask, one branch-free
+// pack of the values for a full word of a one-byte value mask, one test
+// per candidate lane otherwise.  At every candidate lane the word must
+// agree with the point probe, in every storage mode, at sizes around the
+// word edges, and for stored bytes other than 0 and 1.
+
+/// Checks writable_word against the point probe at every candidate lane of
+/// every word, under value/structural x plain/complement, for an all-lanes
+/// and a random candidate word.
+template <typename MaskT>
+void expect_bulk_probe_matches_point(const grb::Vector<MaskT>& mask,
+                                     const std::string& where) {
+  using grb::detail::BitmapWord;
+  const Index n = mask.size();
+  std::mt19937_64 rng(n);
+  for (const bool structural : {false, true}) {
+    for (const bool complement : {false, true}) {
+      const grb::Descriptor desc{.mask_complement = complement,
+                                 .mask_structure = structural};
+      const grb::detail::VectorMaskProbe<MaskT> probe(mask, desc);
+      const std::size_t words = grb::detail::bitmap_words(n);
+      for (std::size_t wd = 0; wd < words; ++wd) {
+        const BitmapWord valid =
+            wd + 1 == words ? grb::detail::bitmap_tail_mask(n)
+                            : ~BitmapWord{0};
+        for (const BitmapWord candidates : {valid, valid & rng()}) {
+          const BitmapWord got = probe.writable_word(wd, candidates);
+          for (Index b = 0; b < grb::detail::kBitmapWordBits; ++b) {
+            if (((candidates >> b) & 1u) == 0) continue;
+            const Index i = static_cast<Index>(wd) * 64 + b;
+            EXPECT_EQ(((got >> b) & 1u) != 0, probe(i))
+                << where << (structural ? " structural" : " value")
+                << (complement ? " complement" : "") << " at " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BulkProbe, WritableWordMatchesPointProbe) {
+  for (const Index n : {Index{1}, Index{63}, Index{64}, Index{65},
+                        Index{130}, Index{1000}}) {
+    std::mt19937_64 rng(n + 7);
+    std::uniform_int_distribution<int> kind(0, 3);
+    // Lanes absent, stored false, stored true, and stored true as byte 2.
+    std::vector<int> lanes(n);
+    for (auto& k : lanes) k = kind(rng);
+    const std::string size = "n=" + std::to_string(n);
+
+    // Bitmap mode: dense storage with absent lanes.
+    grb::Vector<bool> bitmap(n);
+    for (Index i = 0; i < n; ++i) {
+      if (lanes[i] != 0) bitmap.set_element(i, lanes[i] != 1);
+    }
+    bitmap.to_dense();
+    for (Index i = 0; i < n; ++i) {
+      if (lanes[i] == 3) bitmap.mutable_dense_values()[i] = 2;
+    }
+    expect_bulk_probe_matches_point(bitmap, size + " bitmap");
+
+    // All-stored mode: sparse storage, every position stored.
+    grb::Vector<bool> all(n);
+    for (Index i = 0; i < n; ++i) all.set_element(i, lanes[i] >= 2);
+    for (Index i = 0; i < n; ++i) {
+      if (lanes[i] == 3) all.mutable_values()[i] = 2;
+    }
+    expect_bulk_probe_matches_point(all, size + " all-stored");
+
+    // Search mode: sparse storage with absent lanes.
+    grb::Vector<bool> search(n);
+    for (Index i = 0; i < n; ++i) {
+      if (lanes[i] != 0) search.set_element(i, lanes[i] != 1);
+    }
+    if (search.nvals() < n) {
+      expect_bulk_probe_matches_point(search, size + " search");
+    }
+
+    // A wider value type takes the per-lane path in every mode.
+    grb::Vector<double> wide(n);
+    for (Index i = 0; i < n; ++i) {
+      if (lanes[i] != 0) wide.set_element(i, lanes[i] == 1 ? 0.0 : -0.5);
+    }
+    expect_bulk_probe_matches_point(wide, size + " double search");
+    wide.to_dense();
+    expect_bulk_probe_matches_point(wide, size + " double bitmap");
+    grb::Vector<double> wide_all(n);
+    for (Index i = 0; i < n; ++i) wide_all.set_element(i, lanes[i] >= 2);
+    expect_bulk_probe_matches_point(wide_all, size + " double all-stored");
+  }
+}
+
 // --- Mask-driven kernels. ----------------------------------------------------
 //
 // apply / select / ewise_add / ewise_mult iterate the mask's entries

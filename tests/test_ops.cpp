@@ -2,6 +2,9 @@
 // delta-stepping threshold predicates.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "graphblas/ops.hpp"
 
 namespace {
@@ -64,6 +67,8 @@ TEST(Predicates, LightEdgeExcludesZeroAndIncludesBoundary) {
   EXPECT_TRUE(light(0.001));
   EXPECT_FALSE(light(0.0));   // 0 < A: explicit zeros are not edges
   EXPECT_FALSE(light(2.5));
+  EXPECT_FALSE(light(-1.0));
+  EXPECT_FALSE(light(std::nan("")));  // NaN fails both comparisons
 }
 
 TEST(Predicates, LightHeavyPartitionIsExact) {
@@ -88,6 +93,19 @@ TEST(Predicates, HalfOpenRange) {
   EXPECT_TRUE(bucket(3.999));
   EXPECT_FALSE(bucket(4.0));  // open above
   EXPECT_FALSE(bucket(1.999));
+  EXPECT_FALSE(bucket(std::nan("")));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(bucket(inf));
+  EXPECT_FALSE(bucket(-inf));
+  // An unbounded top bucket holds every finite value at or above lo.
+  grb::HalfOpenRangePredicate<double> top{2.0, inf};
+  EXPECT_TRUE(top(1e300));
+  EXPECT_FALSE(top(inf));
+  // lo == hi is an empty range, even at the shared bound.
+  grb::HalfOpenRangePredicate<double> empty{2.0, 2.0};
+  for (const double v : {1.0, 2.0, 3.0, -inf, inf}) {
+    EXPECT_FALSE(empty(v)) << "v=" << v;
+  }
 }
 
 // --- Binary ops. --------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -444,11 +446,19 @@ grb::Descriptor make_desc(const OpCase& c) {
 
 /// Runs `run(ctx, w, mask, desc)` twice — once with sparse inputs handed in,
 /// once after the caller densified them — and compares.  The caller supplies
-/// closures capturing the inputs in the desired representation.
-template <typename RunSparse, typename RunDense>
+/// closures capturing the inputs in the desired representation; W is the
+/// output's value type.
+template <typename W = double, typename RunSparse, typename RunDense>
 void check_bit_identity(const char* what, Index n, RunSparse&& run_sparse,
                         RunDense&& run_dense) {
-  const auto w0 = random_vector(n, 0.3, 99);  // pre-existing output content
+  // Pre-existing output content.
+  const grb::Vector<W> w0 = [&] {
+    if constexpr (std::is_same_v<W, bool>) {
+      return random_mask(n, 0.3, 99);
+    } else {
+      return random_vector(n, 0.3, 99);
+    }
+  }();
   auto mask = random_mask(n, 0.6, 100);
   auto mask_dense = mask;
   mask_dense.to_dense();
@@ -472,23 +482,30 @@ TEST(RepresentationParity, Apply) {
   auto u = random_vector(n, 0.7, 10);
   auto ud = u;
   ud.to_dense();
-  auto op = [](double x) { return x + 1.5; };
-  auto go = [&](const auto& uu) {
-    return [&, uu](grb::Context& ctx, grb::Vector<double>& w,
-                   const grb::Vector<bool>& m, const OpCase& c,
-                   const grb::Descriptor& desc) {
+  auto go = [&](const auto& uu, auto op, auto accum) {
+    return [&, uu, op, accum](grb::Context& ctx, auto& w,
+                              const grb::Vector<bool>& m, const OpCase& c,
+                              const grb::Descriptor& desc) {
       if (c.masked && c.accum) {
-        grb::apply(ctx, w, m, grb::Plus<double>{}, op, uu, desc);
+        grb::apply(ctx, w, m, accum, op, uu, desc);
       } else if (c.masked) {
         grb::apply(ctx, w, m, grb::NoAccumulate{}, op, uu, desc);
       } else if (c.accum) {
-        grb::apply(ctx, w, grb::NoMask{}, grb::Plus<double>{}, op, uu, desc);
+        grb::apply(ctx, w, grb::NoMask{}, accum, op, uu, desc);
       } else {
         grb::apply(ctx, w, grb::NoMask{}, grb::NoAccumulate{}, op, uu, desc);
       }
     };
   };
-  check_bit_identity("apply", n, go(u), go(ud));
+  auto op = [](double x) { return x + 1.5; };
+  check_bit_identity("apply", n, go(u, op, grb::Plus<double>{}),
+                     go(ud, op, grb::Plus<double>{}));
+  // A bool output through the bucket filter (Fig. 2 line 35): the dense
+  // replace-mode, no-accumulator cases hand the kernel stage to w.
+  const grb::HalfOpenRangePredicate<double> range{2.0, 7.0};
+  check_bit_identity<bool>("apply range", n,
+                           go(u, range, grb::LogicalOr<bool>{}),
+                           go(ud, range, grb::LogicalOr<bool>{}));
 }
 
 TEST(RepresentationParity, Select) {
@@ -541,23 +558,27 @@ void ewise_parity(const char* what, EwiseFn ew) {
 }
 
 TEST(RepresentationParity, EwiseAdd) {
-  ewise_parity("ewise_add", [](grb::Context& ctx, grb::Vector<double>& w,
-                               const grb::Vector<bool>& m, const OpCase& c,
-                               const grb::Descriptor& desc, const auto& a,
-                               const auto& b) {
-    auto op = grb::Min<double>{};
-    if (c.masked && c.accum) {
-      grb::ewise_add(ctx, w, m, grb::Plus<double>{}, op, a, b, desc);
-    } else if (c.masked) {
-      grb::ewise_add(ctx, w, m, grb::NoAccumulate{}, op, a, b, desc);
-    } else if (c.accum) {
-      grb::ewise_add(ctx, w, grb::NoMask{}, grb::Plus<double>{}, op, a, b,
-                     desc);
-    } else {
-      grb::ewise_add(ctx, w, grb::NoMask{}, grb::NoAccumulate{}, op, a, b,
-                     desc);
-    }
-  });
+  // Min, and the non-commutative Minus, so that a side swapped in the dense
+  // kernel's both / u-only / v-only word split shows.
+  const auto with = [](auto op) {
+    return [op](grb::Context& ctx, grb::Vector<double>& w,
+                const grb::Vector<bool>& m, const OpCase& c,
+                const grb::Descriptor& desc, const auto& a, const auto& b) {
+      if (c.masked && c.accum) {
+        grb::ewise_add(ctx, w, m, grb::Plus<double>{}, op, a, b, desc);
+      } else if (c.masked) {
+        grb::ewise_add(ctx, w, m, grb::NoAccumulate{}, op, a, b, desc);
+      } else if (c.accum) {
+        grb::ewise_add(ctx, w, grb::NoMask{}, grb::Plus<double>{}, op, a, b,
+                       desc);
+      } else {
+        grb::ewise_add(ctx, w, grb::NoMask{}, grb::NoAccumulate{}, op, a, b,
+                       desc);
+      }
+    };
+  };
+  ewise_parity("ewise_add min", with(grb::Min<double>{}));
+  ewise_parity("ewise_add minus", with(grb::Minus<double>{}));
 }
 
 TEST(RepresentationParity, EwiseMult) {
@@ -777,6 +798,123 @@ TEST(RepresentationParity, MixedEwiseAddParallelMatchesSerial) {
   }
 }
 
+TEST(Representation, AdoptedStageIsReusedWithoutTouchingTheFirstOutput) {
+  // Adoption swaps buffers: w takes the kernel stage, the stage takes w's
+  // previous dense buffers.  A second op through the same Context must
+  // write into those inherited buffers and leave the first output intact.
+  const Index n = 1000;
+  auto u = random_vector(n, 0.8, 42);
+  auto v = random_vector(n, 0.8, 43);
+  u.to_dense();
+  v.to_dense();
+  auto mask = random_mask(n, 0.9, 44);
+  mask.to_dense();
+  grb::Context ctx;
+  ctx.dense_output_crossover = 0.0;  // always stage dense
+  auto w1 = random_vector(n, 0.6, 45);
+  w1.to_dense();
+  const double* w1_previous = w1.dense_values().data();
+
+  grb::apply(ctx, w1, mask, grb::NoAccumulate{}, grb::Identity<double>{}, u,
+             grb::replace_desc);
+  ASSERT_TRUE(w1.is_dense());
+  EXPECT_NE(w1.dense_values().data(), w1_previous) << "w1 adopted the stage";
+  const auto w1_copy = w1;
+
+  grb::Vector<double> w2(n);
+  grb::apply(ctx, w2, mask, grb::NoAccumulate{}, grb::Identity<double>{}, v,
+             grb::replace_desc);
+  ASSERT_TRUE(w2.is_dense());
+  EXPECT_EQ(w2.dense_values().data(), w1_previous)
+      << "the second op staged into the buffers w1 handed back";
+  expect_identical(w1, w1_copy);
+
+  grb::Context sparse_ctx;
+  auto us = u;
+  auto vs = v;
+  auto ms = mask;
+  us.to_sparse();
+  vs.to_sparse();
+  ms.to_sparse();
+  grb::Vector<double> r1(n), r2(n);
+  grb::apply(sparse_ctx, r1, ms, grb::NoAccumulate{}, grb::Identity<double>{},
+             us, grb::replace_desc);
+  grb::apply(sparse_ctx, r2, ms, grb::NoAccumulate{}, grb::Identity<double>{},
+             vs, grb::replace_desc);
+  expect_identical(w1, r1);
+  expect_identical(w2, r2);
+}
+
+TEST(RepresentationParity, SideSplitUnionMatchesSparseMerge) {
+  // The dense union kernel splits each word into both / u-only / v-only
+  // lanes; RepresentationParity.EwiseAdd sweeps it over non-empty operands.
+  // Here: the in-place path (w aliasing u) for every pairing of empty,
+  // sparse and dense operands, and the out-of-place kernel with an empty
+  // side.  Minus is non-commutative, so a swapped side shows.
+  const Index n = 1000;
+  const auto make = [&](int kind, std::uint64_t seed) {
+    // 0: empty sparse, 1: empty dense, 2: sparse, 3: dense.
+    auto x = kind < 2 ? grb::Vector<double>(n) : random_vector(n, 0.5, seed);
+    if (kind % 2 == 1) x.to_dense();
+    return x;
+  };
+  const grb::Minus<double> op;
+  for (int uk = 0; uk < 4; ++uk) {
+    for (int vk = 0; vk < 4; ++vk) {
+      const std::string where =
+          "u kind " + std::to_string(uk) + ", v kind " + std::to_string(vk);
+      const auto u = make(uk, 50);
+      const auto v = make(vk, 51);
+      auto us = u;
+      auto vs = v;
+      us.to_sparse();
+      vs.to_sparse();
+      grb::Context ctx, ref_ctx;
+      grb::Vector<double> want(n);
+      grb::ewise_add(ref_ctx, want, grb::NoMask{}, grb::NoAccumulate{}, op,
+                     us, vs);
+      if (uk < 2 || vk < 2) {
+        grb::Vector<double> got(n);
+        grb::ewise_add(ctx, got, grb::NoMask{}, grb::NoAccumulate{}, op, u,
+                       v);
+        EXPECT_EQ(got, want) << where;
+      }
+
+      // In place, w aliasing u (dense when u is).
+      auto w = u;
+      grb::ewise_add(ctx, w, grb::NoMask{}, grb::NoAccumulate{}, op, w, v);
+      EXPECT_EQ(w, want) << where << " in place";
+    }
+  }
+
+  // s = s ∨ tB_i at bucket start: an empty s, a dense bool filter with
+  // stored falses and a stored byte of 2.  The union normalizes to 0/1.
+  auto tb = random_mask(n, 0.7, 52);
+  tb.to_dense();
+  for (Index i = 0; i < n; i += 7) {
+    if (tb.dense_values()[i] != 0) tb.mutable_dense_values()[i] = 2;
+  }
+  auto tb_sparse = tb;
+  tb_sparse.to_sparse();
+  grb::Context ctx, ref_ctx;
+  grb::Vector<bool> s(n), ref(n);
+  grb::ewise_add(ctx, s, grb::NoMask{}, grb::NoAccumulate{},
+                 grb::LogicalOr<bool>{}, s, tb);
+  grb::ewise_add(ref_ctx, ref, grb::NoMask{}, grb::NoAccumulate{},
+                 grb::LogicalOr<bool>{}, ref, tb_sparse);
+  expect_identical(s, ref);
+  s.to_dense();
+  for (Index i = 0; i < n; ++i) {
+    if (s.has_element(i)) {
+      EXPECT_LE(s.dense_values()[i], 1) << "at " << i;
+    }
+  }
+  // And in place, s dense: a second union scatters the filter again.
+  grb::ewise_add(ctx, s, grb::NoMask{}, grb::NoAccumulate{},
+                 grb::LogicalOr<bool>{}, s, tb);
+  expect_identical(s, ref);
+}
+
 TEST(Representation, FullVectorFollowsContextPolicy) {
   // Vector::full defaults to dense, but full_vector routes the choice
   // through the Context: a pinned-sparse Context must get the sparse form,
@@ -864,11 +1002,14 @@ TEST(RepresentationParity, SsspEndToEndWithAutoSwitching) {
 }
 
 TEST(KernelPath, Fig2LoopRunsMaskDrivenKernels) {
-  // Regression pin for the mask-driven dispatch: the Fig. 2 loop's masked
-  // filters (tless<treq>, t<tb>, t<s>) hold far fewer entries than t once
-  // t has spread, so the unfused graphblas core must take the mask-driven
-  // kernels — a dispatch regression fails here, not only in a benchmark —
-  // and still return Dijkstra's and fused's distances exactly.
+  // Regression pin for the mask-driven dispatch: the inner loop's masks
+  // tless<treq> and t<tB_i> (Fig. 2 line 54) are sparse and hold far fewer
+  // entries than t once t has spread, so the unfused graphblas core must
+  // take the mask-driven kernels — a dispatch regression fails here, not
+  // only in a benchmark — and still return Dijkstra's and fused's
+  // distances exactly.  The bucket-start t<tB_i> (line 37), the heavy
+  // phase's t<s> (line 58) and tcomp<tgeq> store a bool at every position
+  // of t, so they are dense value masks and take the word-packed kernels.
   dsg::RmatParams params;
   params.scale = 10;
   params.seed = 7;
@@ -894,6 +1035,26 @@ TEST(KernelPath, Fig2LoopRunsMaskDrivenKernels) {
               algorithm_info(Algorithm::kFused).run(plan, other, source,
                                                     exec).dist)
         << "source " << source;
+  }
+
+  // A vertex count that is not a multiple of 64: the dense masks' last
+  // word is partial, so the bulk probes mix packed and per-lane words.
+  auto ragged = dsg::generate_connected_random(1000, 4000, 9);
+  ragged.symmetrize();
+  ragged.normalize();
+  dsg::assign_integer_weights(ragged, 1, 100, 9);
+  const dsg::GraphPlan ragged_plan(ragged.to_matrix());
+  ASSERT_NE(ragged_plan.num_vertices() % 64, 0u);
+  for (const Index source : {Index{0}, Index{333}, Index{999}}) {
+    grb::Context ctx, other;
+    EXPECT_EQ(algorithm_info(Algorithm::kGraphblas)
+                  .run(ragged_plan, ctx, source, exec)
+                  .dist,
+              algorithm_info(Algorithm::kDijkstra)
+                  .run(ragged_plan, other, source, exec)
+                  .dist)
+        << "n=1000, source " << source;
+    EXPECT_GT(ctx.dense_writes, 0u) << "the loop never went dense";
   }
 }
 
