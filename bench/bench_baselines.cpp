@@ -47,11 +47,10 @@ int main(int argc, char** argv) {
       const double ms = bench::time_best_ms(
           [&] { return solver.solve(0); }, *a, 0, reps);
       if (first) {
-        // One-time validation + CSR light/heavy split cost (the plan work
-        // of the buckets/fused/openmp family) — what a one-shot solver
-        // re-pays per query.  The graphblas family pays this plus the
-        // grb-matrix materialization; bellman_ford/dijkstra pay only the
-        // validation scan.
+        // One-time validation + A_L/A_H split cost (the plan work of the
+        // buckets/fused/openmp and graphblas families, which share one
+        // split) — what a one-shot solver re-pays per query.
+        // bellman_ford/dijkstra pay only the validation scan.
         row.emplace_back(solver.plan().setup_seconds() * 1000.0);
         first = false;
       }
@@ -61,9 +60,8 @@ int main(int argc, char** argv) {
   }
 
   table.add_footer("per-query cost on a warm plan; split_plan_ms is the "
-                   "one-time validation + CSR-split setup of the "
-                   "buckets/fused/openmp family (the graphblas family "
-                   "additionally materializes grb A_L/A_H once).");
+                   "one-time validation + A_L/A_H split setup, shared by "
+                   "the buckets/fused/openmp and graphblas families.");
   table.add_footer("expected shape: fused/buckets/dijkstra within small "
                    "factors; graphblas slower by the Fig. 3 factor; "
                    "graphblas_select in between.");

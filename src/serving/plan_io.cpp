@@ -224,8 +224,8 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   header.max_out_degree = stats.max_out_degree;
   header.avg_out_degree = stats.avg_out_degree;
 
-  // Sections in file order.  row_ptr/col_ind/raw_values are spans over the
-  // matrix's own storage; the split vectors are plan-owned.
+  // Sections in file order, every one a span over matrix storage: A's own
+  // arrays, then those of the plan's A_L and A_H.
   const std::vector<const void*> sections = {
       a.row_ptr().data(),          a.col_ind().data(),
       a.raw_values().data(),       split.light_ptr.data(),
@@ -234,10 +234,10 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
       split.heavy_val.data()};
   const std::vector<std::size_t> sizes = {
       a.row_ptr().size_bytes(),          a.col_ind().size_bytes(),
-      a.raw_values().size_bytes(),       split.light_ptr.size() * 8,
-      split.light_ind.size() * 8,        split.light_val.size() * 8,
-      split.heavy_ptr.size() * 8,        split.heavy_ind.size() * 8,
-      split.heavy_val.size() * 8};
+      a.raw_values().size_bytes(),       split.light_ptr.size_bytes(),
+      split.light_ind.size_bytes(),      split.light_val.size_bytes(),
+      split.heavy_ptr.size_bytes(),      split.heavy_ind.size_bytes(),
+      split.heavy_val.size_bytes()};
   header.checksum = checksum_file(header, sections, sizes);
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -325,13 +325,12 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   auto row_ptr = take<grb::Index>(cursor, n + 1);
   auto col_ind = take<grb::Index>(cursor, header.num_edges);
   auto val = take<double>(cursor, header.num_edges);
-  detail::LightHeavySplit split;
-  split.light_ptr = take<grb::Index>(cursor, n + 1);
-  split.light_ind = take<grb::Index>(cursor, header.light_nnz);
-  split.light_val = take<double>(cursor, header.light_nnz);
-  split.heavy_ptr = take<grb::Index>(cursor, n + 1);
-  split.heavy_ind = take<grb::Index>(cursor, header.heavy_nnz);
-  split.heavy_val = take<double>(cursor, header.heavy_nnz);
+  auto light_ptr = take<grb::Index>(cursor, n + 1);
+  auto light_ind = take<grb::Index>(cursor, header.light_nnz);
+  auto light_val = take<double>(cursor, header.light_nnz);
+  auto heavy_ptr = take<grb::Index>(cursor, n + 1);
+  auto heavy_ind = take<grb::Index>(cursor, header.heavy_nnz);
+  auto heavy_val = take<double>(cursor, header.heavy_nnz);
 
   // The checksum is forgeable (FNV-1a, and the format is documented), so
   // nothing semantic is trusted: weights must be finite and non-negative
@@ -365,7 +364,15 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
     GraphPlan plan(GraphPlan::Restored{},
                    std::make_shared<const grb::Matrix<double>>(std::move(a)),
                    header.delta, header.delta_was_auto != 0, stats);
-    plan.install_split(std::move(split));
+    // A_L and A_H adopt their sections; check_invariants below audits the
+    // view that points into them.
+    grb::Matrix<double> light(n, n);
+    light.adopt(std::move(light_ptr), std::move(light_ind),
+                std::move(light_val));
+    grb::Matrix<double> heavy(n, n);
+    heavy.adopt(std::move(heavy_ptr), std::move(heavy_ind),
+                std::move(heavy_val));
+    plan.install_split(std::move(light), std::move(heavy));
     plan.check_invariants();
     return plan;
   } catch (const grb::audit::AuditError& e) {

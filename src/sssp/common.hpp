@@ -26,7 +26,6 @@ struct SsspStats {
   std::uint64_t outer_iterations = 0;  ///< buckets processed (i increments)
   std::uint64_t light_phases = 0;      ///< inner-loop light relaxation rounds
   std::uint64_t relax_requests = 0;    ///< relaxation requests generated
-  double setup_seconds = 0.0;   ///< A_L / A_H split (matrix filtering)
   double light_seconds = 0.0;   ///< light-edge vxm / push phases
   double heavy_seconds = 0.0;   ///< heavy-edge vxm / push phases
   double vector_seconds = 0.0;  ///< point-wise vector filter/update work

@@ -90,7 +90,7 @@ SsspResult delta_stepping_buckets(const GraphPlan& plan, grb::Context&,
   const double delta = plan.delta();
   const double max_w = plan.stats().max_weight;
   const auto& split = plan.light_heavy();
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
+  SsspStats stats;
 
   // ceil(max_w/delta)+2 cyclic buckets always suffice (+2 guards the
   // boundary case max_w == k*delta exactly).

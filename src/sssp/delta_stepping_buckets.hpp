@@ -20,7 +20,7 @@ namespace dsg {
 
 /// Canonical bucket-based delta-stepping from `source` against a prebuilt
 /// GraphPlan (weights already validated, light/heavy split already
-/// materialized).  stats.setup_seconds is 0 here — the plan paid it once.
+/// materialized).
 SsspResult delta_stepping_buckets(const GraphPlan& plan, grb::Context& ctx,
                                   Index source, const ExecOptions& exec = {});
 

@@ -37,7 +37,7 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
   grb::detail::check_index(source, n, "sssp: source");
   const double delta = plan.delta();
   const auto& split = plan.light_heavy();
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
+  SsspStats stats;
 
   // Dense work vectors.  Absent == infinity for t/tReq; tb/s are the
   // characteristic vectors of tB_i and S.

@@ -26,8 +26,7 @@ namespace dsg {
 
 /// Fused sequential delta-stepping from `source` against a prebuilt
 /// GraphPlan (weights already validated, A_L/A_H split already
-/// materialized) with `ctx`-owned warm buffers.  stats.setup_seconds is 0
-/// here — the plan paid it once.
+/// materialized) with `ctx`-owned warm buffers.
 SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec = {});
 

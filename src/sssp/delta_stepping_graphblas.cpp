@@ -20,7 +20,7 @@ SsspResult run_graphblas_loop(const grb::Matrix<double>& al,
                               const grb::Matrix<double>& ah, Index n,
                               double delta, grb::Context& ctx, Index source,
                               bool profile, const QueryControl* control) {
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
+  SsspStats stats;
   const auto minplus = grb::min_plus_semiring<double>();
 
   // t[src] = 0                                           (Fig. 2, line 8)
@@ -144,7 +144,6 @@ SsspResult delta_stepping_graphblas(const GraphPlan& plan, grb::Context& ctx,
   const Index n = plan.num_vertices();
   grb::detail::check_index(source, n, "sssp: source");
   // A_L / A_H prebuilt by the plan — paid once per graph, not per query.
-  // stats.setup_seconds stays 0.
   return run_graphblas_loop(plan.light_matrix(), plan.heavy_matrix(), n,
                             plan.delta(), ctx, source, exec.profile,
                             exec.control);

@@ -8,10 +8,11 @@
 // whose cost Fig. 3 compares against the fused C implementation.
 //
 // Both variants run against a GraphPlan: the plan builds A_L / A_H once
-// per graph (one pass over its CSR split) and each call executes only the
-// loop, with warm workspaces from the grb::Context.  The paper's per-call
-// double-apply A_L / A_H construction (Fig. 2, lines 15-21) is run and
-// timed by the C-API transcription (delta_stepping_capi.hpp).
+// per graph (one count pass and one fill pass over A) and each call
+// executes only the loop, with warm workspaces from the grb::Context.  The
+// paper's per-call double-apply A_L / A_H construction (Fig. 2, lines
+// 15-21) is run and timed by the C-API transcription
+// (delta_stepping_capi.hpp).
 #pragma once
 
 #include "graphblas/matrix.hpp"
@@ -33,9 +34,6 @@ namespace dsg {
 ///  - The bucket filter, the (tReq < t) test and the S-set update use the
 ///    same apply / eWiseAdd sequence as Fig. 2 lines 35-54.
 ///  - Relaxations are vxm over the (min,+) semiring (lines 43 and 60).
-///
-/// stats.setup_seconds is 0 here — the plan paid the A_L/A_H construction
-/// once.
 SsspResult delta_stepping_graphblas(const GraphPlan& plan, grb::Context& ctx,
                                     Index source, const ExecOptions& exec = {});
 

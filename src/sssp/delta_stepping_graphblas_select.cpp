@@ -23,7 +23,7 @@ SsspResult run_select_loop(const grb::Matrix<double>& al,
                            const grb::Matrix<double>& ah, Index n,
                            double delta, grb::Context& ctx, Index source,
                            bool profile, const QueryControl* control) {
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
+  SsspStats stats;
   const auto minplus = grb::min_plus_semiring<double>();
 
   grb::Vector<double> t(n);
@@ -108,7 +108,7 @@ SsspResult delta_stepping_graphblas_select(const GraphPlan& plan,
                                            const ExecOptions& exec) {
   const Index n = plan.num_vertices();
   grb::detail::check_index(source, n, "sssp: source");
-  // A_L / A_H prebuilt by the plan; stats.setup_seconds stays 0.
+  // A_L / A_H prebuilt by the plan.
   return run_select_loop(plan.light_matrix(), plan.heavy_matrix(), n,
                          plan.delta(), ctx, source, exec.profile,
                          exec.control);

@@ -163,9 +163,7 @@ SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context&,
   grb::detail::check_index(source, n, "sssp: source");
   const double delta = plan.delta();
   const detail::LightHeavySplit& split = plan.light_heavy();
-  SsspStats stats;  // setup_seconds stays 0: the plan paid it once
-
-  if (exec.num_threads > 0) omp_set_num_threads(exec.num_threads);
+  SsspStats stats;
 
   std::vector<double> t_vec(n, kInfDist);
   std::vector<double> treq_vec(n, kInfDist);
@@ -185,12 +183,15 @@ SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context&,
   SsspStatus status = poll_control(exec.control);
   std::exception_ptr error;
 
-#pragma omp parallel
+  // A num_threads clause, not omp_set_num_threads: the team size applies
+  // to this region only and does not leak into the caller's later regions.
+  const int team =
+      exec.num_threads > 0 ? exec.num_threads : omp_get_max_threads();
+#pragma omp parallel num_threads(team)
 #pragma omp single
   {
     try {
-    int num_tasks = exec.tasks_per_vector;
-    if (num_tasks <= 0) num_tasks = omp_get_num_threads();
+    const int num_tasks = omp_get_num_threads();
 
     std::vector<std::vector<Index>> parts(
         static_cast<std::size_t>(num_tasks) + 1);

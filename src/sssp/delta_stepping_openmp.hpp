@@ -26,10 +26,10 @@ class Context;
 namespace dsg {
 
 /// Task-parallel fused delta-stepping against a prebuilt GraphPlan.
-/// exec.num_threads sets the OpenMP thread count (0 = library default) and
-/// exec.tasks_per_vector the number of evenly-sized tasks a vector pass is
-/// split into (0 = one per thread).  stats.setup_seconds is 0 here.  Runs
-/// the sequential fused core when built without OpenMP.
+/// exec.num_threads sets the size of the OpenMP team for this solve only
+/// (0 = the library default; the caller's OpenMP settings are left as
+/// they were).  A vector pass is split into one evenly-sized task per
+/// team thread.  Runs the sequential fused core when built without OpenMP.
 SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context& ctx,
                                  Index source, const ExecOptions& exec = {});
 

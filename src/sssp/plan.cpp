@@ -20,14 +20,27 @@ double seconds_since(Clock::time_point start) {
 
 // Lazy-slot key types.  Each wraps the materialized artifact so the
 // type-keyed cache can distinguish the roles.
-struct SplitSlot {
-  detail::LightHeavySplit split;
-};
 
-struct GrbSplitSlot {
+/// The one light/heavy split: A_L and A_H, plus the raw CSR view over
+/// them that light_heavy() hands out.  The slot lives behind a shared_ptr
+/// and is never moved, so the view's spans stay valid for the plan's life
+/// (moving the plan moves only the pointer to the cache).
+struct SplitSlot {
   grb::Matrix<double> light;
   grb::Matrix<double> heavy;
+  detail::LightHeavySplit view;
 };
+
+std::shared_ptr<SplitSlot> make_split_slot(grb::Matrix<double> light,
+                                           grb::Matrix<double> heavy) {
+  auto slot = std::make_shared<SplitSlot>();
+  slot->light = std::move(light);
+  slot->heavy = std::move(heavy);
+  slot->view = {slot->light.row_ptr(), slot->light.col_ind(),
+                slot->light.raw_values(), slot->heavy.row_ptr(),
+                slot->heavy.col_ind(), slot->heavy.raw_values()};
+  return slot;
+}
 
 struct FingerprintSlot {
   std::uint64_t value = 0;
@@ -46,29 +59,15 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ v);
 }
 
-/// Builds a grb::Matrix directly from one half of the CSR split (no
-/// predicate re-evaluation: the split already holds exactly the entries).
-grb::Matrix<double> matrix_from_csr(Index nrows, Index ncols,
-                                    const std::vector<Index>& ptr,
-                                    const std::vector<Index>& ind,
-                                    const std::vector<double>& val) {
-  grb::Matrix<double> m(nrows, ncols);
-  std::vector<Index> p(ptr);
-  std::vector<Index> i(ind);
-  std::vector<double> v(val);
-  m.adopt(std::move(p), std::move(i), std::move(v));
-  return m;
-}
-
-}  // namespace
-
-namespace detail {
-
-LightHeavySplit split_light_heavy(const grb::Matrix<double>& a, double delta) {
+/// A_L = A ∘ (0 < A <= Δ) and A_H = A ∘ (A > Δ) (Fig. 2 lines 15-21):
+/// one pass counts each row's light/heavy entries, one pass fills them,
+/// and the two matrices adopt the arrays.  Zero-weight edges go to
+/// neither half.
+std::shared_ptr<SplitSlot> split_light_heavy(const grb::Matrix<double>& a,
+                                             double delta) {
   const Index n = a.nrows();
-  LightHeavySplit s;
-  s.light_ptr.assign(n + 1, 0);
-  s.heavy_ptr.assign(n + 1, 0);
+  std::vector<Index> light_ptr(n + 1, 0);
+  std::vector<Index> heavy_ptr(n + 1, 0);
 
   // Pass 1: count light/heavy entries per row.
   auto row_ptr = a.row_ptr();
@@ -78,43 +77,53 @@ LightHeavySplit split_light_heavy(const grb::Matrix<double>& a, double delta) {
     for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
       const double w = values[k];
       if (w > 0.0 && w <= delta) {
-        ++s.light_ptr[r + 1];
+        ++light_ptr[r + 1];
       } else if (w > delta) {
-        ++s.heavy_ptr[r + 1];
+        ++heavy_ptr[r + 1];
       }
     }
   }
   for (Index r = 0; r < n; ++r) {
-    s.light_ptr[r + 1] += s.light_ptr[r];
-    s.heavy_ptr[r + 1] += s.heavy_ptr[r];
+    light_ptr[r + 1] += light_ptr[r];
+    heavy_ptr[r + 1] += heavy_ptr[r];
   }
-  s.light_ind.resize(s.light_ptr[n]);
-  s.light_val.resize(s.light_ptr[n]);
-  s.heavy_ind.resize(s.heavy_ptr[n]);
-  s.heavy_val.resize(s.heavy_ptr[n]);
+  std::vector<Index> light_ind(light_ptr[n]);
+  std::vector<double> light_val(light_ptr[n]);
+  std::vector<Index> heavy_ind(heavy_ptr[n]);
+  std::vector<double> heavy_val(heavy_ptr[n]);
 
-  // Pass 2: fill.
-  std::vector<Index> lnext(s.light_ptr.begin(), s.light_ptr.end() - 1);
-  std::vector<Index> hnext(s.heavy_ptr.begin(), s.heavy_ptr.end() - 1);
-  for (Index r = 0; r < n; ++r) {
-    for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      const double w = values[k];
-      const Index c = col_ind[k];
-      if (w > 0.0 && w <= delta) {
-        const Index slot = lnext[r]++;
-        s.light_ind[slot] = c;
-        s.light_val[slot] = w;
-      } else if (w > delta) {
-        const Index slot = hnext[r]++;
-        s.heavy_ind[slot] = c;
-        s.heavy_val[slot] = w;
+  // Pass 2: fill.  The cursors are freed before the matrices below
+  // allocate their placeholder row offsets, so the peak stays at A plus
+  // the split.
+  {
+    std::vector<Index> lnext(light_ptr.begin(), light_ptr.end() - 1);
+    std::vector<Index> hnext(heavy_ptr.begin(), heavy_ptr.end() - 1);
+    for (Index r = 0; r < n; ++r) {
+      for (Index k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+        const double w = values[k];
+        const Index c = col_ind[k];
+        if (w > 0.0 && w <= delta) {
+          const Index slot = lnext[r]++;
+          light_ind[slot] = c;
+          light_val[slot] = w;
+        } else if (w > delta) {
+          const Index slot = hnext[r]++;
+          heavy_ind[slot] = c;
+          heavy_val[slot] = w;
+        }
       }
     }
   }
-  return s;
+  grb::Matrix<double> light(n, n);
+  light.adopt(std::move(light_ptr), std::move(light_ind),
+              std::move(light_val));
+  grb::Matrix<double> heavy(n, n);
+  heavy.adopt(std::move(heavy_ptr), std::move(heavy_ind),
+              std::move(heavy_val));
+  return make_split_slot(std::move(light), std::move(heavy));
 }
 
-}  // namespace detail
+}  // namespace
 
 GraphPlan::GraphPlan(std::shared_ptr<const grb::Matrix<double>> a,
                      double delta)
@@ -138,12 +147,12 @@ GraphPlan::GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
 #endif
 }
 
-void GraphPlan::install_split(detail::LightHeavySplit split) const {
+void GraphPlan::install_split(grb::Matrix<double> light,
+                              grb::Matrix<double> heavy) const {
   derived<SplitSlot>([&] {
-    auto slot = std::make_shared<SplitSlot>();
-    slot->split = std::move(split);
+    auto slot = make_split_slot(std::move(light), std::move(heavy));
 #ifdef DSG_AUDIT_INVARIANTS
-    audit_split(slot->split);
+    audit_split(slot->view);
 #endif
     return slot;
   });
@@ -232,20 +241,29 @@ double GraphPlan::auto_delta(const PlanStats& stats) {
 
 const detail::LightHeavySplit& GraphPlan::light_heavy() const {
   return derived<SplitSlot>([&] {
-           auto slot = std::make_shared<SplitSlot>();
-           slot->split = detail::split_light_heavy(*a_, delta_);
+           auto slot = split_light_heavy(*a_, delta_);
 #ifdef DSG_AUDIT_INVARIANTS
-           audit_split(slot->split);
+           audit_split(slot->view);
 #endif
            return slot;
          })
-      .split;
+      .view;
+}
+
+const grb::Matrix<double>& GraphPlan::light_matrix() const {
+  light_heavy();  // materializes the one split
+  return peek_derived<SplitSlot>()->light;
+}
+
+const grb::Matrix<double>& GraphPlan::heavy_matrix() const {
+  light_heavy();
+  return peek_derived<SplitSlot>()->heavy;
 }
 
 void GraphPlan::check_invariants() const {
   a_->check_invariants("GraphPlan adjacency matrix");
   if (const SplitSlot* slot = peek_derived<SplitSlot>()) {
-    audit_split(slot->split);
+    audit_split(slot->view);
   }
 }
 
@@ -258,33 +276,6 @@ void GraphPlan::audit_split(const detail::LightHeavySplit& s) const {
   grb::audit::check_light_heavy(a_->row_ptr(), a_->raw_values(), s.light_ptr,
                                 s.light_val, s.heavy_ptr, s.heavy_val, delta_,
                                 "GraphPlan light/heavy partition");
-}
-
-namespace {
-
-/// Both grb halves materialize through this one derived() call, so there
-/// is no ordering dependency between light_matrix() and heavy_matrix().
-const GrbSplitSlot& grb_split_slot(const GraphPlan& plan) {
-  const auto& s = plan.light_heavy();
-  const auto& a = plan.matrix();
-  return plan.derived<GrbSplitSlot>([&] {
-    auto slot = std::make_shared<GrbSplitSlot>();
-    slot->light = matrix_from_csr(a.nrows(), a.ncols(), s.light_ptr,
-                                  s.light_ind, s.light_val);
-    slot->heavy = matrix_from_csr(a.nrows(), a.ncols(), s.heavy_ptr,
-                                  s.heavy_ind, s.heavy_val);
-    return slot;
-  });
-}
-
-}  // namespace
-
-const grb::Matrix<double>& GraphPlan::light_matrix() const {
-  return grb_split_slot(*this).light;
-}
-
-const grb::Matrix<double>& GraphPlan::heavy_matrix() const {
-  return grb_split_slot(*this).heavy;
 }
 
 double GraphPlan::setup_seconds() const {

@@ -2,11 +2,10 @@
 // plan/execute API.
 //
 // Every SSSP entry point used to take a raw grb::Matrix and re-derive the
-// same per-call state on every invocation: an O(|E|) weight validation, the
-// A_L/A_H light/heavy split for the current Δ, and (for the GraphBLAS
-// variants) the split as grb matrices.  A GraphPlan hoists all of that into
-// a build-once object, the way the GraphBLAS C API amortizes descriptors
-// and operators across operations:
+// same per-call state on every invocation: an O(|E|) weight validation and
+// the A_L/A_H light/heavy split for the current Δ.  A GraphPlan hoists all
+// of that into a build-once object, the way the GraphBLAS C API amortizes
+// descriptors and operators across operations:
 //
 //   - construction scans the matrix once: validates non-negative weights
 //     (throws grb::InvalidValue otherwise) and collects the degree/weight
@@ -14,12 +13,13 @@
 //   - Δ is fixed at construction — pass kAutoDelta (or any finite value
 //     <= 0) to let the Meyer–Sanders-style heuristic pick it from the
 //     stats; a non-finite Δ throws grb::InvalidValue;
-//   - the light/heavy CSR split, its grb::Matrix form, and any
-//     algorithm-specific derived state (e.g. the C-API matrix handles) are
-//     materialized lazily through a mutex-guarded type-keyed cache, so a
-//     plan only ever pays for what the chosen algorithm touches.  After
-//     materialization all accessors are const reads, safe to share across
-//     the threads of a batched solve.
+//   - the light/heavy split (one pair of grb::Matrix A_L / A_H, read as
+//     matrices by the GraphBLAS cores and as raw CSR spans by the fused
+//     ones) and any algorithm-specific derived state (e.g. the C-API
+//     matrix handles) are materialized lazily through a mutex-guarded
+//     type-keyed cache, so a plan only ever pays for what the chosen
+//     algorithm touches.  After materialization all accessors are const
+//     reads, safe to share across the threads of a batched solve.
 //
 // A plan owns its matrix: move a Matrix in, or share a shared_ptr.
 #pragma once
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <typeindex>
 #include <utility>
@@ -43,19 +44,18 @@ class PlanIo;  // trusted deserializer (src/serving/plan_io.cpp)
 
 namespace detail {
 
-/// Light/heavy CSR split shared by the fused, OpenMP and bucket variants.
-/// Built in one pass over A (two passes when tasked): this is the
+/// Raw CSR view of the plan's A_L / A_H, for the fused, OpenMP and bucket
+/// variants.  The spans point into the two grb::Matrix objects that
+/// light_matrix() / heavy_matrix() return, so there is one copy of the
+/// split.  Building it is one count pass and one fill pass over A: the
 /// "matrix filtering" that costs 35-40% of fused runtime per Sec. VI-C —
 /// exactly the work a GraphPlan amortizes across queries.
 struct LightHeavySplit {
-  std::vector<Index> light_ptr, light_ind;
-  std::vector<double> light_val;
-  std::vector<Index> heavy_ptr, heavy_ind;
-  std::vector<double> heavy_val;
+  std::span<const Index> light_ptr, light_ind;
+  std::span<const double> light_val;
+  std::span<const Index> heavy_ptr, heavy_ind;
+  std::span<const double> heavy_val;
 };
-
-/// Sequential split.
-LightHeavySplit split_light_heavy(const grb::Matrix<double>& a, double delta);
 
 }  // namespace detail
 
@@ -72,8 +72,6 @@ struct ExecOptions {
   /// OpenMP and async variants: thread count (0 = library default /
   /// hardware concurrency).
   int num_threads = 0;
-  /// OpenMP variant: tasks per vector pass (0 = one per thread).
-  int tasks_per_vector = 0;
   /// rho_stepping: per-round batch-size target (0 = max(64, n/8)).
   Index rho = 0;
   /// Optional query lifecycle control (deadline + cooperative cancel).
@@ -126,11 +124,13 @@ class GraphPlan {
   /// weight so at least some edges qualify as light.
   static double auto_delta(const PlanStats& stats);
 
-  /// Light/heavy CSR split at this plan's Δ (fused / OpenMP / bucket
-  /// variants).  Built on first use; later calls are const reads.
+  /// Light/heavy split at this plan's Δ as raw CSR spans (fused / OpenMP
+  /// / bucket variants).  Built on first use; later calls are const reads.
   const detail::LightHeavySplit& light_heavy() const;
 
-  /// The same split as grb matrices A_L / A_H (GraphBLAS variants).
+  /// The same split — the same storage — as the grb matrices A_L / A_H
+  /// (GraphBLAS variants).  Materializes it on first use, like
+  /// light_heavy().
   const grb::Matrix<double>& light_matrix() const;
   const grb::Matrix<double>& heavy_matrix() const;
 
@@ -200,9 +200,10 @@ class GraphPlan {
   GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
             double delta, bool delta_was_auto, const PlanStats& stats);
 
-  /// Installs a pre-built light/heavy split into the lazy cache (the
-  /// loader's way to hand over the materialized split from the file).
-  void install_split(detail::LightHeavySplit split) const;
+  /// Installs a pre-built A_L / A_H into the lazy cache (the loader's way
+  /// to hand over the materialized split from the file).
+  void install_split(grb::Matrix<double> light,
+                     grb::Matrix<double> heavy) const;
 
   /// Audits one materialized light/heavy split against the matrix and Δ.
   void audit_split(const detail::LightHeavySplit& s) const;

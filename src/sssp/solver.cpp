@@ -63,11 +63,9 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm) {
     case Algorithm::kBuckets:
     case Algorithm::kFused:
     case Algorithm::kOpenmp:
-      plan.light_heavy();
-      break;
     case Algorithm::kGraphblas:
     case Algorithm::kGraphblasSelect:
-      plan.light_matrix();
+      plan.light_heavy();  // one A_L/A_H, read as CSR or as grb matrices
       break;
     case Algorithm::kCapi:
       // Handles are built lazily on first solve (they live in the plan's

@@ -174,8 +174,8 @@ class SsspSolver {
   double delta() const { return plan_.delta(); }
   Index num_vertices() const { return plan_.num_vertices(); }
 
-  /// One query against the warm plan/workspace.  stats.setup_seconds is 0:
-  /// preprocessing was paid at construction (see plan().setup_seconds()).
+  /// One query against the warm plan/workspace.  Preprocessing was paid at
+  /// construction (see plan().setup_seconds()).
   SsspResult solve(Index source);
 
   /// One query under a lifecycle control: the run observes the control's

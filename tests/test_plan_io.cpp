@@ -8,6 +8,7 @@
 //   DSG_REGEN_GOLDEN=1 ./test_plan_io --gtest_filter=PlanGolden.*
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -75,15 +76,19 @@ void expect_bit_identical(const GraphPlan& original, const GraphPlan& loaded) {
 
   const detail::LightHeavySplit& la = original.light_heavy();
   const detail::LightHeavySplit& lb = loaded.light_heavy();
-  EXPECT_EQ(la.light_ptr, lb.light_ptr);
-  EXPECT_EQ(la.light_ind, lb.light_ind);
-  EXPECT_EQ(la.light_val, lb.light_val);
-  EXPECT_EQ(la.heavy_ptr, lb.heavy_ptr);
-  EXPECT_EQ(la.heavy_ind, lb.heavy_ind);
-  EXPECT_EQ(la.heavy_val, lb.heavy_val);
+  EXPECT_TRUE(std::ranges::equal(la.light_ptr, lb.light_ptr));
+  EXPECT_TRUE(std::ranges::equal(la.light_ind, lb.light_ind));
+  EXPECT_TRUE(std::ranges::equal(la.light_val, lb.light_val));
+  EXPECT_TRUE(std::ranges::equal(la.heavy_ptr, lb.heavy_ptr));
+  EXPECT_TRUE(std::ranges::equal(la.heavy_ind, lb.heavy_ind));
+  EXPECT_TRUE(std::ranges::equal(la.heavy_val, lb.heavy_val));
 
   // Same bytes => same structural fingerprint (the cache-key anchor).
   EXPECT_EQ(original.fingerprint(), loaded.fingerprint());
+
+  // The loader adopts the split sections into A_L / A_H, so a loaded
+  // plan holds one split, as a built one does.
+  test::expect_one_split(loaded);
 }
 
 TEST(PlanIoRoundTrip, EverySuiteGraphBitIdentical) {

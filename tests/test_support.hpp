@@ -123,6 +123,22 @@ inline void expect_distances(const std::vector<double>& got,
   }
 }
 
+/// The plan holds one light/heavy split: the CSR view the fused family
+/// reads is the storage of the A_L / A_H the GraphBLAS family reads.
+inline void expect_one_split(const GraphPlan& plan) {
+  const dsg::detail::LightHeavySplit& s = plan.light_heavy();
+  const grb::Matrix<double>& al = plan.light_matrix();
+  const grb::Matrix<double>& ah = plan.heavy_matrix();
+  EXPECT_EQ(al.row_ptr().data(), s.light_ptr.data());
+  EXPECT_EQ(al.col_ind().data(), s.light_ind.data());
+  EXPECT_EQ(al.raw_values().data(), s.light_val.data());
+  EXPECT_EQ(al.nvals(), s.light_ind.size());
+  EXPECT_EQ(ah.row_ptr().data(), s.heavy_ptr.data());
+  EXPECT_EQ(ah.col_ind().data(), s.heavy_ind.data());
+  EXPECT_EQ(ah.raw_values().data(), s.heavy_val.data());
+  EXPECT_EQ(ah.nvals(), s.heavy_ind.size());
+}
+
 // ---------------------------------------------------------------------------
 // 3. The registry as a table: every SSSP variant, each through its one
 //    entry point.

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
@@ -32,6 +34,26 @@ TEST(Weights, UniformIsSymmetricConsistent) {
   auto g = dsg::generate_grid2d(6, 6);  // symmetric structure
   dsg::assign_uniform_weights(g, 0.1, 5.0, 3);
   EXPECT_TRUE(g.is_symmetric());  // (u,v) and (v,u) share a weight
+}
+
+TEST(Weights, OneDrawPerPairInFirstEdgeOrder) {
+  // Unsorted, with a repeated edge and both directions of each pair.
+  EdgeList g(5);
+  g.add_edge(3, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 0);
+  g.add_edge(4, 1);
+  g.add_edge(3, 1);
+  g.add_edge(1, 4);
+  dsg::assign_integer_weights(g, 1, 1000, 11);
+  // Pairs {1,3}, {0,2}, {1,4} draw in the order of their first edges.
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<int> uni(1, 1000);
+  const double d13 = uni(rng), d02 = uni(rng), d14 = uni(rng);
+  std::vector<double> got;
+  for (const auto& e : g.edges()) got.push_back(e.weight);
+  EXPECT_EQ(got, (std::vector<double>{d13, d02, d13, d02, d14, d13, d14}));
 }
 
 TEST(Weights, IntegerRange) {
