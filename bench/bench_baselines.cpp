@@ -6,8 +6,10 @@
 // one-time plan cost is reported in its own column.
 //
 // Expected shape: fused ~ buckets ~ dijkstra within small factors;
-// graphblas slower by the Fig. 3 factor; graphblas_select between the two
-// (it fuses filters but not the cross-operation data movement).
+// graphblas slower by the Fig. 3 factor; graphblas_select between the two:
+// several times below graphblas on the high-diameter grids, near it on the
+// low-diameter graphs (it fuses the filters and marks S over the bucket
+// frontier only, but keeps the cross-operation data movement).
 //
 // Flags: --quick, --graphs N, --json, --delta D.
 #include <iostream>
@@ -64,7 +66,9 @@ int main(int argc, char** argv) {
                    "the buckets/fused/openmp and graphblas families.");
   table.add_footer("expected shape: fused/buckets/dijkstra within small "
                    "factors; graphblas slower by the Fig. 3 factor; "
-                   "graphblas_select in between.");
+                   "graphblas_select between the two: several times below "
+                   "graphblas on the grids, near it on low-diameter "
+                   "graphs.");
   bench::emit(table, args);
   return 0;
 }

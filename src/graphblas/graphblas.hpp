@@ -5,8 +5,10 @@
 //   - operators / monoids / semirings        (ops.hpp, monoid.hpp, semiring.hpp)
 //   - grb::Descriptor, grb::NoMask, grb::NoAccumulate
 //   - grb::Context / grb::default_context()  (reusable operation workspaces)
-//   - operations: apply, ewise_add, ewise_mult, vxm, mxv, mxm, reduce,
-//                 select, extract, assign, transpose
+//   - operations: the ones Fig. 2 calls (apply on vectors and matrices,
+//                 ewise_add, vxm), the select ablation adds (vector select,
+//                 masked scalar assign), and the C API adds (ewise_mult,
+//                 mxv, vector reduce)
 #pragma once
 
 #include "graphblas/context.hpp"
@@ -17,13 +19,9 @@
 #include "graphblas/operations/apply.hpp"
 #include "graphblas/operations/assign.hpp"
 #include "graphblas/operations/ewise.hpp"
-#include "graphblas/operations/extract.hpp"
-#include "graphblas/operations/kronecker.hpp"
-#include "graphblas/operations/mxm.hpp"
 #include "graphblas/operations/mxv.hpp"
 #include "graphblas/operations/reduce.hpp"
 #include "graphblas/operations/select.hpp"
-#include "graphblas/operations/transpose.hpp"
 #include "graphblas/ops.hpp"
 #include "graphblas/semiring.hpp"
 #include "graphblas/types.hpp"

@@ -533,23 +533,6 @@ void masked_write_vector_dense(Context& ctx, Vector<W>& w,
   ctx.manage_representation(w);
 }
 
-/// Dispatches on mask type and invokes masked_write_vector.
-template <typename W, typename Z, typename Mask, typename Accum>
-void write_vector_result(Context& ctx, Vector<W>& w, const Vector<Z>& z,
-                         const Mask& mask, const Accum& accum,
-                         const Descriptor& desc) {
-  with_vector_probe(mask, desc, w.size(), [&](const auto& probe) {
-    masked_write_vector(ctx, w, z, probe, accum, desc.replace);
-  });
-}
-
-/// Legacy entry point for operations that have no Context parameter.
-template <typename W, typename Z, typename Mask, typename Accum>
-void write_vector_result(Vector<W>& w, const Vector<Z>& z, const Mask& mask,
-                         const Accum& accum, const Descriptor& desc) {
-  write_vector_result(default_context(), w, z, mask, accum, desc);
-}
-
 // ---------------------------------------------------------------------------
 // Mask-driven kernels.
 // ---------------------------------------------------------------------------
@@ -602,13 +585,13 @@ class AscendingReader {
   std::size_t k_ = 0;
 };
 
-/// Point-wise vector ops (apply / select / ewise_add / ewise_mult) call
-/// this first.  When the probe's dispatch rule holds against `walk` — the
-/// stored entries the input-driven kernel would visit — it computes z by
-/// visiting only the mask's writable positions, where `emit(i, zi, zv)`
-/// reads the inputs (through AscendingReader) and appends the entry at i,
-/// if any.  z is sparse and prefiltered, then goes through the ordinary
-/// write phase.  Returns false, doing nothing, when the input-driven
+/// Point-wise vector ops (apply / select / ewise_add / ewise_mult /
+/// assign_scalar) call this first.  When the probe's dispatch rule holds
+/// against `walk` — the stored entries the input-driven kernel would
+/// visit — it computes z by visiting only the mask's writable positions,
+/// where `emit(i, zi, zv)` reads the inputs (through AscendingReader) and
+/// appends the entry at i, if any.  z is sparse and prefiltered, then goes
+/// through the ordinary write phase.  Returns false, doing nothing, when the input-driven
 /// kernel should run instead.
 template <typename Z, typename W, typename Probe, typename Accum,
           typename Emit>

@@ -1,149 +1,55 @@
-// assign.hpp — GrB_assign: scatter a scalar / vector / matrix into a
-// target's sub-structure.
+// assign.hpp — GrB_assign of a scalar into a vector under a mask:
+// w<mask> = value.
 //
-// The scalar-into-vector form with a mask is the "set membership" idiom:
-// w<m> = 1 marks every position where m is true.
+// This is the "set membership" idiom of the select ablation: S<tB> = true
+// marks every position of the bucket frontier in the processed set.
 #pragma once
 
-#include <span>
-#include <vector>
-
+#include "graphblas/bitmap.hpp"
+#include "graphblas/context.hpp"
 #include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/matrix.hpp"
-#include "graphblas/operations/extract.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
 namespace grb {
 
-/// w<mask>(indices) accum= u:  w[indices[k]] = u[k].
-template <typename W, typename Mask, typename Accum, typename U>
-void assign(Vector<W>& w, const Mask& mask, const Accum& accum,
-            const Vector<U>& u, std::span<const Index> indices,
-            const Descriptor& desc = default_desc) {
-  auto idx = detail::resolve_indices(indices, w.size());
-  detail::check_size_match(static_cast<Index>(idx.size()), u.size(),
-                           "assign: indices vs u");
-
-  // Scatter u through the index map into a w-sized result, then run the
-  // standard write phase with accumulate-if-present semantics: positions of
-  // w not covered by the scatter keep their values (GrB_assign, not
-  // GxB_subassign).
-  Vector<U> scattered(w.size());
-  {
-    std::vector<std::pair<Index, U>> tuples;
-    tuples.reserve(u.nvals());
-    u.for_each([&](Index k, const U& x) {
-      detail::check_index(idx[k], w.size(), "assign: target index");
-      tuples.emplace_back(idx[k], x);
-    });
-    std::sort(tuples.begin(), tuples.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    auto& si = scattered.mutable_indices();
-    auto& sv = scattered.mutable_values();
-    for (auto& [i, x] : tuples) {
-      if (!si.empty() && si.back() == i) {
-        sv.back() = x;  // later index wins, per assign duplicate rule
-      } else {
-        si.push_back(i);
-        sv.push_back(x);
-      }
-    }
-  }
-
-  // Positions selected by `indices` but empty in u must *delete* the target
-  // entry under no-accum semantics.  We realize this by first clearing the
-  // covered region when there is no accumulator.
-  if constexpr (detail::is_no_accum_v<Accum>) {
-    Vector<W> cleared = w;
-    for (Index i : idx) cleared.remove_element(i);
-    // Merge: cleared keeps untouched region; scattered supplies new values.
-    Vector<W> z = cleared;
-    scattered.for_each(
-        [&](Index i, const U& x) { z.set_element(i, static_cast<W>(x)); });
-    detail::write_vector_result(w, z, mask, accum, desc);
-  } else {
-    detail::write_vector_result(w, scattered, mask, accum, desc);
-  }
-}
-
-/// w<mask> accum= scalar over `indices` (GrB_assign with scalar).
-template <typename W, typename Mask, typename Accum, typename T>
-void assign_scalar(Vector<W>& w, const Mask& mask, const Accum& accum,
-                   const T& value, std::span<const Index> indices,
-                   const Descriptor& desc = default_desc) {
-  auto idx = detail::resolve_indices(indices, w.size());
-  Vector<T> z(w.size());
-  {
-    std::vector<Index> sorted(idx.begin(), idx.end());
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    auto& zi = z.mutable_indices();
-    auto& zv = z.mutable_values();
-    for (Index i : sorted) {
-      detail::check_index(i, w.size(), "assign_scalar: index");
+/// w<mask> = value, using `ctx`'s workspaces.  The computed result holds
+/// `value` at every position; the standard write rule (see mask.hpp) then
+/// decides what w keeps.  A plain sparse mask drives the kernel
+/// (detail::try_mask_driven against an input walk of n), so the cost is
+/// O(|mask|) rather than O(n).  Otherwise — a dense or all-stored mask, a
+/// complemented mask, or no mask — one sweep over the bitmap words asks the
+/// probe 64 positions at a time.
+template <typename W, typename Mask, typename T>
+void assign_scalar(Context& ctx, Vector<W>& w, const Mask& mask,
+                   const T& value, const Descriptor& desc = default_desc) {
+  const Index n = w.size();
+  detail::with_vector_probe(mask, desc, n, [&](const auto& probe) {
+    auto emit = [&](Index i, auto& zi, auto& zv) {
       zi.push_back(i);
       zv.push_back(value);
+    };
+    if (detail::try_mask_driven<T>(ctx, w, probe, NoAccumulate{},
+                                   desc.replace, n, emit)) {
+      return;
     }
-  }
-  detail::write_vector_result(w, z, mask, accum, desc);
-}
-
-/// Whole-vector masked scalar assign: w<mask> = value (all indices).
-template <typename W, typename Mask, typename T>
-void assign_scalar(Vector<W>& w, const Mask& mask, const T& value,
-                   const Descriptor& desc = default_desc) {
-  const Index all[] = {all_indices};
-  assign_scalar(w, mask, NoAccumulate{}, value, all, desc);
-}
-
-/// C<Mask>(rows, cols) accum= A.
-template <typename C, typename Mask, typename Accum, typename A>
-void assign(Matrix<C>& c, const Mask& mask, const Accum& accum,
-            const Matrix<A>& a, std::span<const Index> row_indices,
-            std::span<const Index> col_indices,
-            const Descriptor& desc = default_desc) {
-  auto ri = detail::resolve_indices(row_indices, c.nrows());
-  auto ci = detail::resolve_indices(col_indices, c.ncols());
-  detail::check_size_match(static_cast<Index>(ri.size()), a.nrows(),
-                           "assign: row indices vs A rows");
-  detail::check_size_match(static_cast<Index>(ci.size()), a.ncols(),
-                           "assign: col indices vs A cols");
-
-  Matrix<C> z = c;
-  if constexpr (detail::is_no_accum_v<Accum>) {
-    for (Index rk = 0; rk < a.nrows(); ++rk) {
-      for (Index ck = 0; ck < a.ncols(); ++ck) {
-        detail::check_index(ri[rk], c.nrows(), "assign: row");
-        detail::check_index(ci[ck], c.ncols(), "assign: col");
-        z.remove_element(ri[rk], ci[ck]);
-      }
+    Vector<T> z(n);
+    auto& zi = z.mutable_indices();
+    auto& zv = z.mutable_values();
+    const std::size_t nwords = detail::bitmap_words(n);
+    for (std::size_t wd = 0; wd < nwords; ++wd) {
+      const detail::BitmapWord lanes = wd + 1 == nwords
+                                           ? detail::bitmap_tail_mask(n)
+                                           : ~detail::BitmapWord{0};
+      detail::bitmap_for_each_in_word(
+          lanes & detail::probe_writable_word(probe, wd, lanes),
+          static_cast<Index>(wd) * detail::kBitmapWordBits,
+          [&](Index i) { emit(i, zi, zv); });
     }
-  }
-  a.for_each([&](Index r, Index col, const A& x) {
-    z.set_element(ri[r], ci[col], static_cast<C>(x));
+    detail::masked_write_vector(ctx, w, std::move(z), probe, NoAccumulate{},
+                                desc.replace, /*z_prefiltered=*/true);
   });
-  detail::write_matrix_result(c, z, mask, accum, desc);
-}
-
-/// C<Mask> accum= scalar over (rows x cols).
-template <typename C, typename Mask, typename Accum, typename T>
-void assign_scalar(Matrix<C>& c, const Mask& mask, const Accum& accum,
-                   const T& value, std::span<const Index> row_indices,
-                   std::span<const Index> col_indices,
-                   const Descriptor& desc = default_desc) {
-  auto ri = detail::resolve_indices(row_indices, c.nrows());
-  auto ci = detail::resolve_indices(col_indices, c.ncols());
-  Matrix<T> z(c.nrows(), c.ncols());
-  for (Index r : ri) {
-    for (Index col : ci) {
-      detail::check_index(r, c.nrows(), "assign_scalar: row");
-      detail::check_index(col, c.ncols(), "assign_scalar: col");
-      z.set_element(r, col, value);
-    }
-  }
-  detail::write_matrix_result(c, z, mask, accum, desc);
 }
 
 }  // namespace grb

@@ -21,7 +21,6 @@
 #include "graphblas/bitmap.hpp"
 #include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/matrix.hpp"
 #include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
@@ -669,109 +668,6 @@ template <typename W, typename BinaryOp, typename U, typename V>
 void ewise_mult(Vector<W>& w, BinaryOp op, const Vector<U>& u,
                 const Vector<V>& v, const Descriptor& desc = default_desc) {
   ewise_mult(default_context(), w, NoMask{}, NoAccumulate{}, op, u, v, desc);
-}
-
-// ---------------------------------------------------------------------------
-// Matrix variants.
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
-/// Row-wise union/intersection merge shared by the matrix eWise kernels.
-template <bool kUnion, typename Z, typename BinaryOp, typename A, typename B>
-Matrix<Z> ewise_matrix_kernel(BinaryOp op, const Matrix<A>& a,
-                              const Matrix<B>& b) {
-  Matrix<Z> z(a.nrows(), a.ncols());
-  std::vector<Index> zptr(a.nrows() + 1, 0);
-  std::vector<Index> zind;
-  std::vector<storage_of_t<Z>> zval;
-  zind.reserve(kUnion ? a.nvals() + b.nvals()
-                      : std::min(a.nvals(), b.nvals()));
-  zval.reserve(zind.capacity());
-
-  for (Index r = 0; r < a.nrows(); ++r) {
-    auto ai = a.row_indices(r);
-    auto av = a.row_values(r);
-    auto bi = b.row_indices(r);
-    auto bv = b.row_values(r);
-    std::size_t x = 0, y = 0;
-    while (x < ai.size() || y < bi.size()) {
-      if (x < ai.size() && (y >= bi.size() || ai[x] < bi[y])) {
-        if constexpr (kUnion) {
-          zind.push_back(ai[x]);
-          zval.push_back(static_cast<Z>(av[x]));
-        }
-        ++x;
-      } else if (y < bi.size() && (x >= ai.size() || bi[y] < ai[x])) {
-        if constexpr (kUnion) {
-          zind.push_back(bi[y]);
-          zval.push_back(static_cast<Z>(bv[y]));
-        }
-        ++y;
-      } else {
-        zind.push_back(ai[x]);
-        zval.push_back(static_cast<Z>(op(av[x], bv[y])));
-        ++x;
-        ++y;
-      }
-    }
-    zptr[r + 1] = static_cast<Index>(zind.size());
-  }
-  z.adopt(std::move(zptr), std::move(zind), std::move(zval));
-  return z;
-}
-
-}  // namespace detail
-
-/// C<Mask> accum= A (+op) B — union (eWiseAdd) on matrices.
-template <typename C, typename Mask, typename Accum, typename BinaryOp,
-          typename A, typename B>
-void ewise_add(Matrix<C>& c, const Mask& mask, const Accum& accum,
-               BinaryOp op, const Matrix<A>& a, const Matrix<B>& b,
-               const Descriptor& desc = default_desc) {
-  const Matrix<A>* pa = desc.transpose_in0 ? &a.transpose_cached() : &a;
-  const Matrix<B>* pb = desc.transpose_in1 ? &b.transpose_cached() : &b;
-  detail::check_size_match(pa->nrows(), pb->nrows(), "ewise_add: A vs B rows");
-  detail::check_size_match(pa->ncols(), pb->ncols(), "ewise_add: A vs B cols");
-  detail::check_size_match(c.nrows(), pa->nrows(), "ewise_add: C vs A rows");
-  detail::check_size_match(c.ncols(), pa->ncols(), "ewise_add: C vs A cols");
-
-  using Z = std::common_type_t<decltype(op(std::declval<A>(), std::declval<B>())), A, B>;
-  auto z = detail::ewise_matrix_kernel<true, Z>(op, *pa, *pb);
-  detail::write_matrix_result(c, std::move(z), mask, accum, desc);
-}
-
-/// Unmasked convenience overload (matrix eWiseAdd).
-template <typename C, typename BinaryOp, typename A, typename B>
-void ewise_add(Matrix<C>& c, BinaryOp op, const Matrix<A>& a,
-               const Matrix<B>& b, const Descriptor& desc = default_desc) {
-  ewise_add(c, NoMask{}, NoAccumulate{}, op, a, b, desc);
-}
-
-/// C<Mask> accum= A (.op) B — intersection (eWiseMult) on matrices.
-/// This is the Hadamard product used by A_L = A ∘ (0 < A ≤ Δ).
-template <typename C, typename Mask, typename Accum, typename BinaryOp,
-          typename A, typename B>
-void ewise_mult(Matrix<C>& c, const Mask& mask, const Accum& accum,
-                BinaryOp op, const Matrix<A>& a, const Matrix<B>& b,
-                const Descriptor& desc = default_desc) {
-  const Matrix<A>* pa = desc.transpose_in0 ? &a.transpose_cached() : &a;
-  const Matrix<B>* pb = desc.transpose_in1 ? &b.transpose_cached() : &b;
-  detail::check_size_match(pa->nrows(), pb->nrows(), "ewise_mult: A vs B rows");
-  detail::check_size_match(pa->ncols(), pb->ncols(), "ewise_mult: A vs B cols");
-  detail::check_size_match(c.nrows(), pa->nrows(), "ewise_mult: C vs A rows");
-  detail::check_size_match(c.ncols(), pa->ncols(), "ewise_mult: C vs A cols");
-
-  using Z = decltype(op(std::declval<A>(), std::declval<B>()));
-  auto z = detail::ewise_matrix_kernel<false, Z>(op, *pa, *pb);
-  detail::write_matrix_result(c, std::move(z), mask, accum, desc);
-}
-
-/// Unmasked convenience overload (matrix eWiseMult).
-template <typename C, typename BinaryOp, typename A, typename B>
-void ewise_mult(Matrix<C>& c, BinaryOp op, const Matrix<A>& a,
-                const Matrix<B>& b, const Descriptor& desc = default_desc) {
-  ewise_mult(c, NoMask{}, NoAccumulate{}, op, a, b, desc);
 }
 
 }  // namespace grb

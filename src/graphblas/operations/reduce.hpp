@@ -1,17 +1,11 @@
-// reduce.hpp — GrB_reduce: fold the stored elements of a vector or matrix
-// with a monoid.
+// reduce.hpp — GrB_reduce: fold the stored elements of a vector with a
+// monoid.
 //
-// Delta-stepping's loop conditions are nvals() checks on filtered vectors,
-// but reductions are part of the substrate contract and the tests use them
-// heavily (e.g. reduce(Plus) over a boolean set == set cardinality).
+// Delta-stepping's loop conditions are nvals() checks on filtered vectors;
+// the reduce caller is the C API's GrB_Vector_reduce_FP64.
 #pragma once
 
-#include <optional>
-#include <vector>
-
-#include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/matrix.hpp"
 #include "graphblas/monoid.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
@@ -40,52 +34,6 @@ void reduce(T& out, const Accum& accum, const MonoidT& monoid,
   } else {
     out = static_cast<T>(accum(out, r));
   }
-}
-
-/// Scalar reduce of a matrix.
-template <typename MonoidT, typename A>
-typename MonoidT::value_type reduce(const MonoidT& monoid,
-                                    const Matrix<A>& a) {
-  using T = typename MonoidT::value_type;
-  T acc = monoid.identity();
-  a.for_each(
-      [&](Index, Index, const A& x) { acc = monoid(acc, static_cast<T>(x)); });
-  return acc;
-}
-
-/// Row-wise reduce of a matrix into a vector: w[i] = fold(monoid, A[i][:]).
-/// desc.transpose_in0 reduces columns instead.  Rows with no stored entries
-/// produce no output entry (GraphBLAS semantics).
-template <typename W, typename Mask, typename Accum, typename MonoidT,
-          typename A>
-void reduce(Vector<W>& w, const Mask& mask, const Accum& accum,
-            const MonoidT& monoid, const Matrix<A>& a,
-            const Descriptor& desc = default_desc) {
-  const Matrix<A>* pa = desc.transpose_in0 ? &a.transpose_cached() : &a;
-  detail::check_size_match(w.size(), pa->nrows(), "reduce: w vs A rows");
-
-  using T = typename MonoidT::value_type;
-  Vector<T> z(pa->nrows());
-  auto& zi = z.mutable_indices();
-  auto& zv = z.mutable_values();
-  for (Index r = 0; r < pa->nrows(); ++r) {
-    auto vals = pa->row_values(r);
-    if (vals.empty()) continue;
-    T acc = static_cast<T>(vals[0]);
-    for (std::size_t k = 1; k < vals.size(); ++k) {
-      acc = monoid(acc, static_cast<T>(vals[k]));
-    }
-    zi.push_back(r);
-    zv.push_back(acc);
-  }
-  detail::write_vector_result(w, z, mask, accum, desc);
-}
-
-/// Unmasked, non-accumulating convenience overload.
-template <typename W, typename MonoidT, typename A>
-void reduce(Vector<W>& w, const MonoidT& monoid, const Matrix<A>& a,
-            const Descriptor& desc = default_desc) {
-  reduce(w, NoMask{}, NoAccumulate{}, monoid, a, desc);
 }
 
 }  // namespace grb

@@ -12,7 +12,6 @@
 #include "graphblas/bitmap.hpp"
 #include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/matrix.hpp"
 #include "graphblas/operations/dense_compact.hpp"
 #include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
@@ -229,82 +228,5 @@ void select(Vector<W>& w, Pred pred, const Vector<U>& u,
             const Descriptor& desc = default_desc) {
   select(default_context(), w, NoMask{}, NoAccumulate{}, pred, u, desc);
 }
-
-/// C<Mask> accum= select(pred, A): keeps A's entries where
-/// pred(value, row, col) holds.
-template <typename C, typename Mask, typename Accum, typename Pred,
-          typename A>
-  requires MatrixSelectOpFor<Pred, A>
-void select(Matrix<C>& c, const Mask& mask, const Accum& accum, Pred pred,
-            const Matrix<A>& a, const Descriptor& desc = default_desc) {
-  const Matrix<A>* pa = desc.transpose_in0 ? &a.transpose_cached() : &a;
-  detail::check_size_match(c.nrows(), pa->nrows(), "select: C vs A rows");
-  detail::check_size_match(c.ncols(), pa->ncols(), "select: C vs A cols");
-
-  Matrix<A> z(pa->nrows(), pa->ncols());
-  std::vector<Index> zptr(pa->nrows() + 1, 0);
-  std::vector<Index> zind;
-  std::vector<storage_of_t<A>> zval;
-  for (Index r = 0; r < pa->nrows(); ++r) {
-    auto cols = pa->row_indices(r);
-    auto vals = pa->row_values(r);
-    for (std::size_t k = 0; k < cols.size(); ++k) {
-      if (pred(static_cast<A>(vals[k]), r, cols[k])) {
-        zind.push_back(cols[k]);
-        zval.push_back(vals[k]);
-      }
-    }
-    zptr[r + 1] = static_cast<Index>(zind.size());
-  }
-  z.adopt(std::move(zptr), std::move(zind), std::move(zval));
-  detail::write_matrix_result(c, std::move(z), mask, accum, desc);
-}
-
-/// Value-only predicate convenience (matrix).
-template <typename C, typename Pred, typename A>
-  requires UnaryOpFor<Pred, A> && (!MatrixSelectOpFor<Pred, A>)
-void select(Matrix<C>& c, Pred pred, const Matrix<A>& a,
-            const Descriptor& desc = default_desc) {
-  select(
-      c, NoMask{}, NoAccumulate{},
-      [&pred](const A& x, Index, Index) { return static_cast<bool>(pred(x)); },
-      a, desc);
-}
-
-/// Index-aware unmasked convenience overload (matrix).
-template <typename C, typename Pred, typename A>
-  requires MatrixSelectOpFor<Pred, A>
-void select(Matrix<C>& c, Pred pred, const Matrix<A>& a,
-            const Descriptor& desc = default_desc) {
-  select(c, NoMask{}, NoAccumulate{}, pred, a, desc);
-}
-
-// --- Predefined index-aware predicates (GxB_TRIL / GxB_TRIU / diag). --------
-
-/// Keeps entries strictly below the diagonal shifted by k: col < row + k.
-struct TriLower {
-  std::int64_t k = 0;
-  template <typename T>
-  bool operator()(const T&, Index r, Index c) const {
-    return static_cast<std::int64_t>(c) <= static_cast<std::int64_t>(r) + k;
-  }
-};
-
-/// Keeps entries on/above the shifted diagonal: col >= row + k.
-struct TriUpper {
-  std::int64_t k = 0;
-  template <typename T>
-  bool operator()(const T&, Index r, Index c) const {
-    return static_cast<std::int64_t>(c) >= static_cast<std::int64_t>(r) + k;
-  }
-};
-
-/// Keeps off-diagonal entries (removes self-loops).
-struct OffDiagonal {
-  template <typename T>
-  bool operator()(const T&, Index r, Index c) const {
-    return r != c;
-  }
-};
 
 }  // namespace grb

@@ -9,7 +9,7 @@
 namespace grb {
 
 /// Generic semiring.  `AddMonoid` supplies add() and zero(); `MultOp`
-/// supplies mult().  vxm/mxv/mxm accumulate mult-products with add.
+/// supplies mult().  vxm/mxv accumulate mult-products with add.
 template <typename AddMonoid, typename MultOp>
 struct Semiring {
   using value_type = typename AddMonoid::value_type;

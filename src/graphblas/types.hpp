@@ -92,15 +92,10 @@ concept BinaryOpFor = requires(Op op, T a, U b) {
   { op(a, b) };
 };
 
-/// An index-aware unary predicate used by select(): (value, index...) -> bool.
+/// An index-aware unary predicate used by select(): (value, index) -> bool.
 template <typename Op, typename T>
 concept VectorSelectOpFor = requires(Op op, T a, Index i) {
   { op(a, i) } -> std::convertible_to<bool>;
-};
-
-template <typename Op, typename T>
-concept MatrixSelectOpFor = requires(Op op, T a, Index i, Index j) {
-  { op(a, i, j) } -> std::convertible_to<bool>;
 };
 
 /// Monoid: associative binary op with an identity element.

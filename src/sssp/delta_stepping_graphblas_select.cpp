@@ -61,7 +61,7 @@ SsspResult run_select_loop(const grb::Matrix<double>& al,
       if (profile) stats.light_seconds += seconds_since(light_start);
 
       // S |= bucket members (structural mask of tbv).
-      grb::assign_scalar(s, tbv, true, grb::structure_mask_desc);
+      grb::assign_scalar(ctx, s, tbv, true, grb::structure_mask_desc);
 
       // Improved-and-in-bucket: tnew = treq entries that beat t...
       grb::ewise_add(ctx, tnew, treq, grb::NoAccumulate{},

@@ -144,26 +144,24 @@ SsspResult SsspSolver::solve(Index source, const QueryControl& control) {
 
 std::vector<SsspResult> SsspSolver::solve_batch(
     std::span<const Index> sources) {
-  BatchOptions batch;
-  batch.rethrow_errors = true;
-  std::vector<QueryResult> isolated = solve_batch(sources, batch);
+  // Legacy contract: a bad index must not surface mid-batch — validate
+  // everything before launching.  Isolation mode instead turns a bad
+  // source into that query's failure.
+  for (Index s : sources) {
+    grb::detail::check_index(s, plan_.num_vertices(), "solve_batch: source");
+  }
+  std::vector<QueryResult> isolated = solve_batch(sources, BatchOptions{});
   std::vector<SsspResult> results;
   results.reserve(isolated.size());
-  for (QueryResult& q : isolated) results.push_back(std::move(q.result));
+  for (QueryResult& q : isolated) {
+    if (q.exception) std::rethrow_exception(q.exception);
+    results.push_back(std::move(q.result));
+  }
   return results;
 }
 
 std::vector<QueryResult> SsspSolver::solve_batch(
     std::span<const Index> sources, const BatchOptions& batch) {
-  if (batch.rethrow_errors) {
-    // Legacy contract: a bad index must not surface mid-batch (or from
-    // inside a parallel region) — validate everything before launching.
-    // Isolation mode instead turns a bad source into that query's failure.
-    for (Index s : sources) {
-      grb::detail::check_index(s, plan_.num_vertices(), "solve_batch: source");
-    }
-  }
-
   const AlgorithmInfo& info = algorithm_info(options_.algorithm);
   ExecOptions exec = options_.exec;
   if (batch.control) exec.control = batch.control;
@@ -217,11 +215,6 @@ std::vector<QueryResult> SsspSolver::solve_batch(
     }
   }
 
-  if (batch.rethrow_errors) {
-    for (QueryResult& q : results) {
-      if (q.exception) std::rethrow_exception(q.exception);
-    }
-  }
   return results;
 }
 

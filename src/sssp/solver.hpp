@@ -145,10 +145,6 @@ struct BatchOptions {
   /// Cancelling it winds the whole batch down: in-flight queries return
   /// their partial upper bounds, not-yet-started ones their init state.
   const QueryControl* control = nullptr;
-  /// true restores the legacy contract: the first query failure (lowest
-  /// source index) aborts the whole call by rethrowing.  The
-  /// vector-of-results overload is implemented on top of this.
-  bool rethrow_errors = false;
 };
 
 class SsspSolver {
@@ -189,14 +185,15 @@ class SsspSolver {
   /// to calling solve() per source in order (duplicate sources included —
   /// warm-workspace reuse leaks no state between queries).  Internally
   /// serial variants fan out across OpenMP threads when available.
-  /// First query failure rethrows and discards the batch (the legacy
-  /// contract); use the BatchOptions overload for per-query isolation.
+  /// Every source is validated before any query runs; after the batch,
+  /// the first query failure (lowest source index) rethrows and discards
+  /// it (the legacy contract).  Use the BatchOptions overload for
+  /// per-query isolation.
   std::vector<SsspResult> solve_batch(std::span<const Index> sources);
 
   /// Failure-isolated batch: one query throwing (or naming an out-of-range
   /// source) marks only its own QueryResult as failed; the other N-1
-  /// queries complete normally.  With batch.rethrow_errors the legacy
-  /// throwing contract applies instead.
+  /// queries complete normally.
   std::vector<QueryResult> solve_batch(std::span<const Index> sources,
                                        const BatchOptions& batch);
 

@@ -132,56 +132,4 @@ TEST(EwiseVector, DimensionChecks) {
                grb::DimensionMismatch);
 }
 
-// --- Matrix eWise. ----------------------------------------------------------
-
-grb::Matrix<double> matA() {
-  grb::Matrix<double> m(2, 3);
-  m.set_element(0, 0, 1.0);
-  m.set_element(0, 2, 2.0);
-  m.set_element(1, 1, 3.0);
-  return m;
-}
-
-grb::Matrix<double> matB() {
-  grb::Matrix<double> m(2, 3);
-  m.set_element(0, 0, 10.0);
-  m.set_element(1, 0, 20.0);
-  m.set_element(1, 1, 30.0);
-  return m;
-}
-
-TEST(EwiseAddMatrix, Union) {
-  grb::Matrix<double> c(2, 3);
-  grb::ewise_add(c, grb::Plus<double>{}, matA(), matB());
-  EXPECT_EQ(c.nvals(), 4u);
-  EXPECT_DOUBLE_EQ(*c.extract_element(0, 0), 11.0);
-  EXPECT_DOUBLE_EQ(*c.extract_element(0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(*c.extract_element(1, 0), 20.0);
-  EXPECT_DOUBLE_EQ(*c.extract_element(1, 1), 33.0);
-}
-
-TEST(EwiseMultMatrix, IntersectionIsHadamard) {
-  grb::Matrix<double> c(2, 3);
-  grb::ewise_mult(c, grb::Times<double>{}, matA(), matB());
-  EXPECT_EQ(c.nvals(), 2u);
-  EXPECT_DOUBLE_EQ(*c.extract_element(0, 0), 10.0);
-  EXPECT_DOUBLE_EQ(*c.extract_element(1, 1), 90.0);
-}
-
-TEST(EwiseMatrix, TransposeDescriptors) {
-  auto a = matA();             // 2x3
-  auto bt = matB().transposed();  // 3x2
-  grb::Matrix<double> c(2, 3);
-  grb::ewise_add(c, grb::NoMask{}, grb::NoAccumulate{}, grb::Plus<double>{},
-                 a, bt, grb::Descriptor{.transpose_in1 = true});
-  EXPECT_DOUBLE_EQ(*c.extract_element(0, 0), 11.0);
-  EXPECT_DOUBLE_EQ(*c.extract_element(1, 1), 33.0);
-}
-
-TEST(EwiseMatrix, DimensionChecks) {
-  grb::Matrix<double> a(2, 3), b(3, 2), c(2, 3);
-  EXPECT_THROW(grb::ewise_add(c, grb::Plus<double>{}, a, b),
-               grb::DimensionMismatch);
-}
-
 }  // namespace

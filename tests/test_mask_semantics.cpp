@@ -4,7 +4,7 @@
 // {merge/replace} x {no-accum/accum}, checked against an independent
 // element-wise model of the standard semantics.  This is the machinery
 // every operation shares, so these parameterized sweeps protect all of
-// apply/ewise/vxm/mxm/reduce/select/extract/assign/transpose at once.
+// apply/ewise/vxm/mxv/select/assign at once.
 // The same reference then checks the mask-driven point-wise kernels over
 // random masks and operands in both storage representations.
 #include <gtest/gtest.h>
@@ -352,9 +352,11 @@ TEST(BulkProbe, WritableWordMatchesPointProbe) {
 
 // --- Mask-driven kernels. ----------------------------------------------------
 //
-// apply / select / ewise_add / ewise_mult iterate the mask's entries
-// instead of walking their inputs when the mask is a plain (uncomplemented)
-// vector mask in sparse storage holding fewer entries than the input walk.
+// apply / select / ewise_add / ewise_mult / assign_scalar iterate the
+// mask's entries instead of walking their inputs when the mask is a plain
+// (uncomplemented) vector mask in sparse storage holding fewer entries than
+// the input walk (all n positions for assign_scalar, whose input is a
+// scalar).
 // Each op runs over masks smaller and larger than its inputs, sparse and
 // dense, across the whole flag cube and every operand representation; the
 // result must match the position-by-position reference, and
@@ -387,7 +389,15 @@ std::vector<std::optional<bool>> random_mask_model(double density,
   return m;
 }
 
-enum class PointwiseOp { kApply, kSelect, kEwiseAdd, kEwiseMult };
+enum class PointwiseOp {
+  kApply,
+  kSelect,
+  kEwiseAdd,
+  kEwiseMult,
+  kAssignScalar
+};
+
+constexpr double kAssignedValue = 3.5;
 
 const char* op_name(PointwiseOp op) {
   switch (op) {
@@ -397,8 +407,10 @@ const char* op_name(PointwiseOp op) {
       return "select";
     case PointwiseOp::kEwiseAdd:
       return "ewise_add";
-    default:
+    case PointwiseOp::kEwiseMult:
       return "ewise_mult";
+    default:
+      return "assign_scalar";
   }
 }
 
@@ -422,6 +434,9 @@ Model computed(PointwiseOp op, const Model& u, const Model& v) {
         break;
       case PointwiseOp::kEwiseMult:
         if (u[i] && v[i]) t[i] = *u[i] * *v[i];
+        break;
+      case PointwiseOp::kAssignScalar:
+        t[i] = kAssignedValue;
         break;
     }
   }
@@ -448,6 +463,10 @@ void run_pointwise(PointwiseOp op, grb::Context& ctx, grb::Vector<double>& w,
     case PointwiseOp::kEwiseMult:
       grb::ewise_mult(ctx, w, mask, accum, grb::Times<double>{}, u, v, desc);
       break;
+    case PointwiseOp::kAssignScalar:
+      // No accumulator: the reference drops the accumulate flag for it.
+      grb::assign_scalar(ctx, w, mask, kAssignedValue, desc);
+      break;
   }
 }
 
@@ -461,9 +480,11 @@ Index input_walk(PointwiseOp op, const grb::Vector<double>& u,
       return u.nvals();
     case PointwiseOp::kEwiseAdd:
       return u.nvals() + v.nvals();
-    default:
+    case PointwiseOp::kEwiseMult:
       if (u.is_dense() == v.is_dense()) return u.nvals() + v.nvals();
       return u.is_dense() ? v.nvals() : u.nvals();
+    default:
+      return u.size();
   }
 }
 
@@ -488,7 +509,8 @@ TEST_P(MaskDriven, PointwiseOpsMatchTheReference) {
       for (const int reps : {0, 1, 2, 3}) {
         for (const PointwiseOp op :
              {PointwiseOp::kApply, PointwiseOp::kSelect,
-              PointwiseOp::kEwiseAdd, PointwiseOp::kEwiseMult}) {
+              PointwiseOp::kEwiseAdd, PointwiseOp::kEwiseMult,
+              PointwiseOp::kAssignScalar}) {
           auto mask = to_vector(mask_model);
           if (mask_dense) mask.to_dense();
           auto u = to_vector(u_model);
@@ -509,9 +531,11 @@ TEST_P(MaskDriven, PointwiseOpsMatchTheReference) {
               (reps & 1 ? " dense-u" : " sparse-u") +
               (reps & 2 ? " dense-v" : " sparse-v") + " " +
               flags_name({GetParam(), 0});
+          Flags ref = f;
+          if (op == PointwiseOp::kAssignScalar) ref.accumulate = false;
           expect_matches(w,
                          expected_write(old, computed(op, u_model, v_model),
-                                        mask_model, f),
+                                        mask_model, ref),
                          where);
           const bool driven = !f.complement && !mask_dense &&
                               mask.nvals() < input_walk(op, u, v);
@@ -530,6 +554,32 @@ TEST_P(MaskDriven, PointwiseOpsMatchTheReference) {
 INSTANTIATE_TEST_SUITE_P(AllFlagCombos, MaskDriven,
                          ::testing::ValuesIn(all_flag_combinations()),
                          flags_name);
+
+TEST(AssignScalarVector, MaskedMembershipIdiom) {
+  // S<tB> = true: mark bucket members in the processed set.
+  grb::Vector<bool> s(5);
+  s.set_element(0, true);
+  grb::Vector<bool> tb(5);
+  tb.set_element(2, true);
+  tb.set_element(4, true);
+  grb::Context ctx;
+  grb::assign_scalar(ctx, s, tb, true);
+  EXPECT_TRUE(*s.extract_element(0));
+  EXPECT_TRUE(*s.extract_element(2));
+  EXPECT_TRUE(*s.extract_element(4));
+  EXPECT_EQ(s.nvals(), 3u);
+}
+
+TEST(AssignScalarVector, StructuralMask) {
+  grb::Vector<double> w(4);
+  grb::Vector<double> mask(4);
+  mask.set_element(1, 0.0);  // present but falsy
+  mask.set_element(2, 5.0);
+  grb::Context ctx;
+  grb::assign_scalar(ctx, w, mask, 7.0, grb::structure_mask_desc);
+  EXPECT_EQ(w.nvals(), 2u);  // structural: both positions written
+  EXPECT_DOUBLE_EQ(*w.extract_element(1), 7.0);
+}
 
 // The replace-mode write installs z without merging against the old w.  It
 // must still normalize values when the output element type differs from

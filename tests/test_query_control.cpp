@@ -318,10 +318,6 @@ TEST(BatchIsolation, OutOfRangeSourceIsPerQueryFailure) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_EQ(results[1].result.status, SsspStatus::kFailed);
   EXPECT_TRUE(results[2].ok());
-  // The legacy contract validates up front instead.
-  BatchOptions rethrow;
-  rethrow.rethrow_errors = true;
-  EXPECT_THROW(solver.solve_batch(sources, rethrow), grb::IndexOutOfBounds);
 }
 
 TEST(BatchIsolation, SharedControlWindsDownTheWholeBatch) {

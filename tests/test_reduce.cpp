@@ -1,11 +1,9 @@
-// Unit tests for grb::reduce — scalar and row/column reductions.
+// Unit tests for grb::reduce — scalar reductions of a vector.
 #include <gtest/gtest.h>
 
 #include "graphblas/graphblas.hpp"
 
 namespace {
-
-using grb::Index;
 
 TEST(ReduceVector, PlusSumsStoredElements) {
   grb::Vector<double> v(5);
@@ -54,75 +52,6 @@ TEST(ReduceVector, WithAccumIntoScalar) {
   EXPECT_DOUBLE_EQ(out, 12.0);
   grb::reduce(out, grb::NoAccumulate{}, grb::plus_monoid<double>(), v);
   EXPECT_DOUBLE_EQ(out, 2.0);
-}
-
-TEST(ReduceMatrix, ScalarOverAllEntries) {
-  grb::Matrix<double> m(3, 3);
-  m.set_element(0, 1, 1.0);
-  m.set_element(2, 0, 2.0);
-  EXPECT_DOUBLE_EQ(grb::reduce(grb::plus_monoid<double>(), m), 3.0);
-  EXPECT_DOUBLE_EQ(grb::reduce(grb::max_monoid<double>(), m), 2.0);
-}
-
-TEST(ReduceMatrix, RowWiseIntoVector) {
-  grb::Matrix<double> m(3, 4);
-  m.set_element(0, 0, 1.0);
-  m.set_element(0, 3, 2.0);
-  m.set_element(2, 1, 5.0);
-  grb::Vector<double> w(3);
-  grb::reduce(w, grb::plus_monoid<double>(), m);
-  EXPECT_DOUBLE_EQ(*w.extract_element(0), 3.0);
-  EXPECT_FALSE(w.has_element(1));  // empty row -> no entry
-  EXPECT_DOUBLE_EQ(*w.extract_element(2), 5.0);
-}
-
-TEST(ReduceMatrix, ColumnWiseViaTransposeDescriptor) {
-  grb::Matrix<double> m(3, 4);
-  m.set_element(0, 0, 1.0);
-  m.set_element(2, 0, 2.0);
-  m.set_element(1, 3, 7.0);
-  grb::Vector<double> w(4);
-  grb::reduce(w, grb::NoMask{}, grb::NoAccumulate{},
-              grb::plus_monoid<double>(), m,
-              grb::Descriptor{.transpose_in0 = true});
-  EXPECT_DOUBLE_EQ(*w.extract_element(0), 3.0);
-  EXPECT_DOUBLE_EQ(*w.extract_element(3), 7.0);
-  EXPECT_EQ(w.nvals(), 2u);
-}
-
-TEST(ReduceMatrix, OutDegreeIdiom) {
-  // Out-degree vector: row-reduce over (plus, One-applied) entries.
-  grb::Matrix<double> m(3, 3);
-  m.set_element(0, 1, 5.0);
-  m.set_element(0, 2, 7.0);
-  m.set_element(1, 0, 9.0);
-  grb::Matrix<double> ones(3, 3);
-  grb::apply(ones, grb::One<double>{}, m);
-  grb::Vector<double> deg(3);
-  grb::reduce(deg, grb::plus_monoid<double>(), ones);
-  EXPECT_DOUBLE_EQ(*deg.extract_element(0), 2.0);
-  EXPECT_DOUBLE_EQ(*deg.extract_element(1), 1.0);
-}
-
-TEST(ReduceMatrix, MaskOnRowReduction) {
-  grb::Matrix<double> m(3, 3);
-  m.set_element(0, 0, 1.0);
-  m.set_element(1, 1, 2.0);
-  m.set_element(2, 2, 3.0);
-  grb::Vector<bool> mask(3);
-  mask.set_element(1, true);
-  grb::Vector<double> w(3);
-  grb::reduce(w, mask, grb::NoAccumulate{}, grb::plus_monoid<double>(), m,
-              grb::replace_desc);
-  EXPECT_EQ(w.nvals(), 1u);
-  EXPECT_DOUBLE_EQ(*w.extract_element(1), 2.0);
-}
-
-TEST(ReduceMatrix, DimensionCheck) {
-  grb::Matrix<double> m(3, 4);
-  grb::Vector<double> w(4);  // wrong: must match nrows
-  EXPECT_THROW(grb::reduce(w, grb::plus_monoid<double>(), m),
-               grb::DimensionMismatch);
 }
 
 }  // namespace

@@ -670,7 +670,7 @@ TEST(RepresentationParity, InPlaceDenseRelaxationMatchesSparse) {
   EXPECT_EQ(t_sparse, t_dense2);
 }
 
-TEST(RepresentationParity, ReduceExtractAssignOverDense) {
+TEST(RepresentationParity, ReduceAssignOverDense) {
   const Index n = 80;
   auto u = random_vector(n, 0.7, 19);
   auto ud = u;
@@ -679,22 +679,24 @@ TEST(RepresentationParity, ReduceExtractAssignOverDense) {
   auto monoid = grb::plus_monoid<double>();
   EXPECT_DOUBLE_EQ(grb::reduce(monoid, u), grb::reduce(monoid, ud));
 
-  const std::vector<Index> idx{5, 3, 60, 3, 7};
-  grb::Vector<double> e1(static_cast<Index>(idx.size()));
-  grb::Vector<double> e2(static_cast<Index>(idx.size()));
-  grb::extract(e1, u, idx);
-  grb::extract(e2, ud, idx);
-  EXPECT_EQ(e1, e2);
-
-  auto w1 = random_vector(n, 0.5, 20);
-  auto w2 = w1;
-  w2.to_dense();
-  const std::vector<Index> all{grb::all_indices};
-  grb::assign_scalar(w1, grb::NoMask{}, grb::NoAccumulate{}, 2.5,
-                     std::span<const Index>(all));
-  grb::assign_scalar(w2, grb::NoMask{}, grb::NoAccumulate{}, 2.5,
-                     std::span<const Index>(all));
-  EXPECT_EQ(w1, w2);
+  // w<m> = 2.5 with w and the mask each in both representations: the
+  // sparse mask drives the kernel, the dense one takes the word sweep.
+  const auto w = random_vector(n, 0.5, 20);
+  auto m = random_vector(n, 0.2, 21);
+  auto md = m;
+  md.to_dense();
+  auto want = w;
+  grb::Context ctx;
+  grb::assign_scalar(ctx, want, m, 2.5);
+  for (const bool w_dense : {false, true}) {
+    for (const auto* mask : {&m, &md}) {
+      auto got = w;
+      if (w_dense) got.to_dense();
+      grb::assign_scalar(ctx, got, *mask, 2.5);
+      EXPECT_EQ(got, want) << "w_dense=" << w_dense
+                           << " mask_dense=" << mask->is_dense();
+    }
+  }
 }
 
 TEST(RepresentationParity, ParallelDenseKernelsMatchSerial) {

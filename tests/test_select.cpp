@@ -58,65 +58,6 @@ TEST(SelectVector, EmptyInput) {
   EXPECT_EQ(w.nvals(), 0u);
 }
 
-TEST(SelectMatrix, LightHeavySplitInOneCallEach) {
-  grb::Matrix<double> a(3, 3);
-  a.set_element(0, 1, 0.5);
-  a.set_element(1, 2, 1.5);
-  a.set_element(2, 0, 2.5);
-  grb::Matrix<double> al(3, 3), ah(3, 3);
-  grb::select(al, grb::LightEdgePredicate<double>{1.0}, a);
-  grb::select(ah, grb::GreaterThanThreshold<double>{1.0}, a);
-  EXPECT_EQ(al.nvals(), 1u);
-  EXPECT_EQ(ah.nvals(), 2u);
-  EXPECT_DOUBLE_EQ(*al.extract_element(0, 1), 0.5);
-}
-
-TEST(SelectMatrix, TriLowerUpper) {
-  grb::Matrix<double> a(3, 3);
-  for (Index i = 0; i < 3; ++i)
-    for (Index j = 0; j < 3; ++j) a.set_element(i, j, 1.0);
-  grb::Matrix<double> lower(3, 3), upper(3, 3), strict_lower(3, 3);
-  grb::select(lower, grb::TriLower{}, a);
-  grb::select(upper, grb::TriUpper{}, a);
-  grb::select(strict_lower, grb::TriLower{-1}, a);
-  EXPECT_EQ(lower.nvals(), 6u);         // incl. diagonal
-  EXPECT_EQ(upper.nvals(), 6u);
-  EXPECT_EQ(strict_lower.nvals(), 3u);  // below diagonal only
-  EXPECT_FALSE(strict_lower.has_element(1, 1));
-  EXPECT_TRUE(strict_lower.has_element(2, 0));
-}
-
-TEST(SelectMatrix, OffDiagonalRemovesSelfLoops) {
-  grb::Matrix<double> a(3, 3);
-  a.set_element(0, 0, 1.0);
-  a.set_element(0, 1, 2.0);
-  a.set_element(2, 2, 3.0);
-  grb::Matrix<double> c(3, 3);
-  grb::select(c, grb::OffDiagonal{}, a);
-  EXPECT_EQ(c.nvals(), 1u);
-  EXPECT_TRUE(c.has_element(0, 1));
-}
-
-TEST(SelectMatrix, MaskComposes) {
-  grb::Matrix<double> a(2, 2);
-  a.set_element(0, 0, 5.0);
-  a.set_element(0, 1, 6.0);
-  grb::Matrix<bool> mask(2, 2);
-  mask.set_element(0, 0, true);
-  grb::Matrix<double> c(2, 2);
-  grb::select(c, mask, grb::NoAccumulate{},
-              [](const double&, Index, Index) { return true; }, a,
-              grb::replace_desc);
-  EXPECT_EQ(c.nvals(), 1u);
-  EXPECT_DOUBLE_EQ(*c.extract_element(0, 0), 5.0);
-}
-
-TEST(SelectMatrix, DimensionCheck) {
-  grb::Matrix<double> a(2, 3), c(3, 2);
-  EXPECT_THROW(grb::select(c, grb::GreaterThanThreshold<double>{0.0}, a),
-               grb::DimensionMismatch);
-}
-
 // --- Selectivity-sampler regression: position-correlated predicates. --------
 //
 // sampled_keep_fraction used to probe only the FIRST set bit of each
