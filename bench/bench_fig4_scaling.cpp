@@ -2,20 +2,20 @@
 // engine in the algorithm registry (the variants whose AlgorithmInfo says
 // they honor ExecOptions::num_threads), normalized per engine to its own
 // single-thread run.  Today that sweeps the OpenMP-task fused variant
-// (paper Sec. VI-C) and the two lock-free async engines (rho_stepping,
-// delta_stepping_async); a future threaded variant joins the table by
-// registering itself — this file does not change.
+// (paper Sec. VI-C) and the lock-free async engine (delta_stepping_async);
+// a future threaded variant joins the table by registering itself — this
+// file does not change.
 //
 // Paper headline for the OpenMP engine: average 1.44x at 2 threads, 1.5x
 // at 4 — modest and saturating, because the A_L/A_H filtering is one task
 // per matrix.  Here every engine runs against one shared GraphPlan, so the
-// split is built once, outside the timed region.  The async engines exist
+// split is built once, outside the timed region.  The async engine exists
 // to beat that self-relative scaling: no bucket barrier, relaxations race
 // through write_min and the concurrent bag.  The --check gate pins exactly
 // that claim.
 //
 // Every timed configuration is validated against the SSSP invariants
-// before timing (time_best_ms), so the async engines' numbers are from
+// before timing (time_best_ms), so the async engine's numbers are from
 // runs whose distances are provably correct at that thread count.
 //
 // Flags: --quick, --graphs N, --json, --delta D, --threads "2,4", --check.

@@ -5,7 +5,8 @@
 // Input layout: the first 8 bytes pick the query parameters —
 //   bytes 0..3  (u32 le)  source vertex candidate
 //   byte  4               algorithm selector (mapped into the enum range,
-//                         including AUTO and the rejected CAPI value)
+//                         including AUTO and the rejected CAPI, retired 8
+//                         and out-of-range 10 values)
 //   byte  5               number of queries to submit (0..7)
 //   bytes 6..7            reserved / padding
 // — and the remaining bytes are written to a unique temp file and handed
@@ -51,8 +52,8 @@ int capi_server_target(const std::uint8_t* data, std::size_t size) {
   if (size < 8) return 0;
   std::uint32_t source_raw = 0;
   std::memcpy(&source_raw, data, 4);
-  // Map byte 4 across the whole selector range plus the two interesting
-  // out-of-range values (AUTO=-1 handled, 10.. invalid).
+  // Map byte 4 across the whole selector range plus the interesting
+  // values around it (AUTO=-1 handled; the retired 8 and 10 rejected).
   const int algorithm = static_cast<int>(data[4] % 12) - 1;
   const int num_queries = data[5] % 8;
 

@@ -221,11 +221,11 @@ typedef enum {
   DSG_SSSP_OPENMP = 5,           /* task-parallel fused (Sec. VI-C)        */
   DSG_SSSP_BELLMAN_FORD = 6,     /* SPFA worklist baseline                 */
   DSG_SSSP_DIJKSTRA = 7,         /* binary-heap baseline                   */
-  /* The lock-free asynchronous engines.  Distances are bit-identical to
+  /* 8 is retired (it named rho-stepping) and rejected; do not reuse it. */
+  /* The lock-free asynchronous engine.  Distances are bit-identical to
    * the deterministic variants for any thread count (the unique fp
    * min-plus fixed point), but the relaxation *schedule* — and any stats
    * derived from it — is nondeterministic. */
-  DSG_SSSP_RHO = 8,              /* async rho-stepping (PASGAL style)      */
   DSG_SSSP_DELTA_ASYNC = 9,      /* async delta-stepping                   */
   /* Forces the enum's value range to cover all of int, so an out-of-range
    * selector arriving from C (where enums are plain ints) is a checkable

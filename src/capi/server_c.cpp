@@ -68,16 +68,14 @@ GrB_Info status_code(dsg::SsspStatus status) {
 }
 
 /// Folds the C enum (which adds DSG_SSSP_AUTO = -1) into ServerOptions.
-/// Any other out-of-range value is rejected here so the error surfaces
-/// before threads spin up.
+/// Any other id without a registry entry is rejected here, so the error
+/// surfaces before the plan is built or threads spin up.
 void apply_algorithm(dsg::serving::ServerOptions& options,
                      DsgSsspAlgorithm algorithm) {
-  const int alg = static_cast<int>(algorithm);
-  if (alg == DSG_SSSP_AUTO) return;  // options.algorithm stays nullopt
-  if (alg < 0 || alg >= dsg::sssp::kNumAlgorithms) {
-    throw grb::InvalidValue("DsgServer_new: unknown algorithm selector");
-  }
-  options.algorithm = static_cast<dsg::sssp::Algorithm>(alg);
+  if (algorithm == DSG_SSSP_AUTO) return;  // options.algorithm stays nullopt
+  options.algorithm =
+      dsg::sssp::algorithm_info(static_cast<dsg::sssp::Algorithm>(algorithm))
+          .id;
 }
 
 dsg::serving::ServerOptions make_options(DsgSsspAlgorithm algorithm,

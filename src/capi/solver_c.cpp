@@ -68,13 +68,12 @@ GrB_Info DsgSolver_new(DsgSolver* solver, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta) {
   if (!solver || !a) return GrB_NULL_POINTER;
   *solver = nullptr;
-  const int alg = static_cast<int>(algorithm);
-  if (alg < 0 || alg >= dsg::sssp::kNumAlgorithms) {
-    return GrB_INVALID_VALUE;
-  }
   return guarded([&] {
     dsg::sssp::SolverOptions options;
-    options.algorithm = static_cast<dsg::sssp::Algorithm>(algorithm);
+    // Validated before the snapshot and the plan: an id with no registry
+    // entry (AUTO, the retired 8, out of range) is GrB_INVALID_VALUE.
+    options.algorithm = dsg::sssp::algorithm_info(
+        static_cast<dsg::sssp::Algorithm>(algorithm)).id;
     options.delta = delta;
     // Snapshot: the solver owns a copy, so the caller may free or mutate
     // `a` afterwards.

@@ -14,7 +14,7 @@ namespace {
 /// Pool-safety gate: workers run algorithm cores concurrently on separate
 /// contexts, which every variant supports except kCapi (the paper
 /// listing's file-scope operator globals are process-wide).  The
-/// internally-threaded variants (kOpenmp, the async engines) are legal
+/// internally-threaded variants (kOpenmp, kDeltaSteppingAsync) are legal
 /// but oversubscribe a busy pool; callers opt into them explicitly.
 void require_pool_safe(sssp::Algorithm algorithm) {
   sssp::algorithm_info(algorithm);  // validates the enum value

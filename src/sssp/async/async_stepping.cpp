@@ -1,6 +1,6 @@
-// async_stepping.cpp — the shared lock-free engine behind rho_stepping and
-// delta_stepping_async.  See async_stepping.hpp for the execution model and
-// write_min.hpp for the memory-ordering contract.
+// async_stepping.cpp — the lock-free engine behind delta_stepping_async.
+// See async_stepping.hpp for the execution model and write_min.hpp for the
+// memory-ordering contract.
 //
 // Threading layout: one std::barrier with two arrive_and_wait points per
 // round.  Workers relax between the round start and the first barrier;
@@ -34,7 +34,7 @@ namespace {
 /// Per-thread eager queue depth (the PASGAL local-queue idiom): freshly
 /// improved vertices are relaxed in-round, skipping a frontier round trip.
 constexpr int kLocalQueueSize = 128;
-/// Strided-sampling budget for frontier-size and rho-quantile estimation.
+/// Strided-sampling budget for the dense frontier-size estimate.
 constexpr Index kSampleTarget = 1024;
 /// Work-stealing grab sizes: list entries per claim (sparse rounds) and
 /// vertex-range width per claim (dense sweeps).
@@ -53,7 +53,6 @@ struct AsyncWorkspace {
   std::unique_ptr<std::atomic<double>[]> dist;
   std::unique_ptr<std::atomic<unsigned char>[]> flags0, flags1;
   std::vector<Index> list0, list1;
-  std::vector<double> samples;  // theta-quantile scratch (coordinator only)
 
   void ensure(Index n_now) {
     if (n == n_now && dist) return;
@@ -83,9 +82,7 @@ struct Engine {
   std::span<const Index> row_ptr, col_ind;
   std::span<const double> val;
   Index n = 0;
-  bool use_delta = false;  ///< true: delta_stepping_async; false: rho
   double delta = 1.0;
-  Index rho = 0;
 
   // Shared concurrent state (atomics: touched by all workers in-round).
   std::atomic<double>* dist = nullptr;
@@ -106,10 +103,8 @@ struct Engine {
   Mode insert_mode = Mode::kSparse;
   Index cur_size = 0;  ///< exact in sparse rounds, estimated in dense ones
   double theta = kInfDist;
-  bool theta_inclusive = false;  ///< rho: process <= theta; delta: < theta
   bool done = false;
 
-  AsyncWorkspace* ws = nullptr;
   SsspStats stats;  // coordinator-owned
 
   // --- lifecycle + failure containment ------------------------------------
@@ -166,8 +161,7 @@ struct Engine {
   /// min-plus fixed point: no improvement is ever dropped.
   void handle(Index u, Local& loc) {
     const double du = dist[u].load(std::memory_order_relaxed);
-    const bool in_window = theta_inclusive ? du <= theta : du < theta;
-    if (!in_window) {
+    if (du >= theta) {
       insert_next(u, du, loc);
       return;
     }
@@ -267,44 +261,16 @@ struct Engine {
     return count;
   }
 
-  /// theta for the upcoming round, computed against the *current* (just
-  /// swapped-in) frontier.  frontier_min is the smallest candidate
-  /// recorded while the frontier was filled — an upper bound on the true
-  /// minimum (in-round improvements can undercut their recorded value),
-  /// which only coarsens the window: theta stays strictly above the true
-  /// minimum, so the minimum vertex is always processed and settles.
-  double compute_theta(double frontier_min) {
-    if (use_delta) {
-      return (std::floor(frontier_min / delta) + 1.0) * delta;
-    }
-    if (cur_size <= rho) return kInfDist;
-    // rho-quantile of sampled frontier distances (PASGAL's heuristic):
-    // process roughly the rho closest vertices this round.
-    auto& buf = ws->samples;
-    buf.clear();
-    if (traverse_mode == Mode::kSparse) {
-      const Index stride = std::max<Index>(Index{1}, cur_size / kSampleTarget);
-      for (Index i = 0; i < cur_size; i += stride) {
-        buf.push_back(dist[cur_list[i]].load(std::memory_order_relaxed));
-      }
-    } else {
-      const Index stride = std::max<Index>(Index{1}, n / kSampleTarget);
-      for (Index v = 0; v < n; v += stride) {
-        if (cur_flags[v].load(std::memory_order_relaxed) != 0) {
-          buf.push_back(dist[v].load(std::memory_order_relaxed));
-        }
-      }
-    }
-    if (buf.empty()) return kInfDist;
-    std::size_t k = static_cast<std::size_t>(
-        static_cast<double>(rho) / static_cast<double>(cur_size) *
-        static_cast<double>(buf.size()));
-    if (k >= buf.size()) k = buf.size() - 1;
-    std::nth_element(buf.begin(),
-                     buf.begin() + static_cast<std::ptrdiff_t>(k), buf.end());
-    // The quantile is a frontier member's distance, hence >= the true
-    // minimum; the inclusive window (<= theta) then guarantees progress.
-    return buf[k];
+  /// theta for the upcoming round: the end of the bucket that holds
+  /// frontier_min, the smallest candidate recorded while the frontier was
+  /// filled — an upper bound on the true minimum (in-round improvements
+  /// can undercut their recorded value), which only coarsens the window:
+  /// theta stays above the true minimum, so the minimum vertex is
+  /// processed and settles.  The one exception is a Δ so small next to
+  /// the distances that the +1 is lost in floating point; coordinate()
+  /// catches the resulting empty round.
+  double compute_theta(double frontier_min) const {
+    return (std::floor(frontier_min / delta) + 1.0) * delta;
   }
 
   void coordinate() {
@@ -358,9 +324,8 @@ struct Engine {
     work_cursor.store(0, std::memory_order_relaxed);
     processed_round.store(0, std::memory_order_relaxed);
 
-    // Safety net: a round that processed nothing (cannot happen — theta
-    // always admits the frontier minimum — but cheap to guard) flushes
-    // everything next round rather than spinning.
+    // A round that processed nothing (only a tiny Δ's rounding, see
+    // compute_theta) flushes everything next round rather than spinning.
     theta = processed == 0 ? kInfDist : compute_theta(frontier_min);
   }
 
@@ -393,8 +358,10 @@ struct Engine {
   }
 };
 
-SsspResult run_async(const GraphPlan& plan, grb::Context& ctx, Index source,
-                     const ExecOptions& exec, bool use_delta) {
+}  // namespace
+
+SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
+                                Index source, const ExecOptions& exec) {
   const Index n = plan.num_vertices();
   grb::detail::check_index(source, n, "sssp: source");
   const grb::Matrix<double>& a = plan.matrix();
@@ -407,10 +374,7 @@ SsspResult run_async(const GraphPlan& plan, grb::Context& ctx, Index source,
   eng.col_ind = a.col_ind();
   eng.val = a.raw_values();
   eng.n = n;
-  eng.use_delta = use_delta;
   eng.delta = plan.delta();
-  eng.rho = exec.rho > 0 ? exec.rho : std::max<Index>(Index{64}, n / 8);
-  eng.ws = &ws;
 
   eng.dist = ws.dist.get();
   for (Index v = 0; v < n; ++v) {
@@ -426,7 +390,6 @@ SsspResult run_async(const GraphPlan& plan, grb::Context& ctx, Index source,
   eng.cur_flags[source].store(1, std::memory_order_relaxed);
   eng.cur_size = 1;
   eng.traverse_mode = eng.insert_mode = Mode::kSparse;
-  eng.theta_inclusive = !use_delta;
   eng.theta = eng.compute_theta(0.0);
   eng.control = exec.control;
 
@@ -483,18 +446,6 @@ SsspResult run_async(const GraphPlan& plan, grb::Context& ctx, Index source,
   result.stats = eng.stats;
   result.status = eng.status;
   return result;
-}
-
-}  // namespace
-
-SsspResult rho_stepping(const GraphPlan& plan, grb::Context& ctx, Index source,
-                        const ExecOptions& exec) {
-  return run_async(plan, ctx, source, exec, /*use_delta=*/false);
-}
-
-SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
-                                Index source, const ExecOptions& exec) {
-  return run_async(plan, ctx, source, exec, /*use_delta=*/true);
 }
 
 }  // namespace dsg

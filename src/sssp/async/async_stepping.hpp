@@ -1,7 +1,7 @@
-// async_stepping.hpp — the lock-free asynchronous relaxation engines:
-// rho-stepping and asynchronous delta-stepping.
+// async_stepping.hpp — the lock-free asynchronous relaxation engine:
+// asynchronous delta-stepping.
 //
-// Both variants share one engine (async_stepping.cpp) built on
+// The engine (async_stepping.cpp) is built on
 // std::thread + std::atomic + std::barrier — deliberately *not* OpenMP,
 // so ThreadSanitizer can verify the synchronization (libgomp's runtime
 // carries no TSan annotations and reports false positives on correct
@@ -19,16 +19,13 @@
 //     frontier-size estimate — the same deterministic strided-sampling
 //     idiom as grb::Context::dense_output_crossover;
 //   - a per-round threshold theta bounds which distances are relaxed now
-//     versus deferred: delta_stepping_async uses the next bucket boundary
-//     (floor(min/delta)+1)*delta, rho_stepping processes everything when
-//     the frontier is at most rho vertices and otherwise the sampled
-//     rho-quantile of frontier distances (the PASGAL heuristic).
+//     versus deferred: the next bucket boundary (floor(min/delta)+1)*delta.
 //
 // Determinism contract: the *schedule* (rounds, relaxation order, stats)
 // varies run to run, but the returned distances are bit-identical across
 // thread counts and schedules — quiescence is the unique fp min-plus
 // fixed point (write_min.hpp documents the argument).  The registry
-// flags these variants deterministic = false because their SsspStats are
+// flags the variant deterministic = false because its SsspStats are
 // schedule-dependent; SsspResult.dist is not.
 //
 // The per-phase timers (light/heavy/vector_seconds) stay 0: the fused
@@ -47,14 +44,10 @@ class Context;
 
 namespace dsg {
 
-/// PASGAL-style rho-stepping.  Uses ExecOptions::rho (0 = max(64, n/8))
-/// and ExecOptions::num_threads (0 = hardware concurrency, 1 = inline on
-/// the calling thread); the plan's delta is unused.
-SsspResult rho_stepping(const GraphPlan& plan, grb::Context& ctx,
-                        Index source, const ExecOptions& exec);
-
 /// Asynchronous delta-stepping.  Buckets by the plan's delta but relaxes
 /// each bucket lock-free instead of in two-pass deterministic phases.
+/// Uses ExecOptions::num_threads (0 = hardware concurrency, 1 = inline on
+/// the calling thread).
 SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec);
 

@@ -1,5 +1,5 @@
 // write_min.hpp — the lock-free relaxation primitive of the asynchronous
-// SSSP engines (rho-stepping / async delta-stepping).
+// SSSP engine (async delta-stepping).
 //
 // Memory-ordering contract
 // ------------------------
@@ -33,8 +33,8 @@
 // the min-plus fixed point: dist[v] <= dist[u] + w(u,v) for every edge.
 // Since IEEE addition is monotone and every stored value is a
 // left-to-right fp path sum, that fixed point is unique — which is why
-// the async engines are *value*-deterministic (bit-identical distances
-// for any schedule or thread count) even though their schedules are not.
+// the async engine is *value*-deterministic (bit-identical distances for
+// any schedule or thread count) even though its schedule is not.
 #pragma once
 
 #include <atomic>

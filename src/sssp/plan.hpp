@@ -72,8 +72,6 @@ struct ExecOptions {
   /// OpenMP and async variants: thread count (0 = library default /
   /// hardware concurrency).
   int num_threads = 0;
-  /// rho_stepping: per-round batch-size target (0 = max(64, n/8)).
-  Index rho = 0;
   /// Optional query lifecycle control (deadline + cooperative cancel).
   /// Null = run to completion unconditionally.  Cores poll it at their
   /// round/bucket boundaries; on expiry/cancel they stop and return the

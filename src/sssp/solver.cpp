@@ -1,6 +1,5 @@
 #include "sssp/solver.hpp"
 
-#include <array>
 #include <exception>
 #include <utility>
 
@@ -23,16 +22,15 @@ namespace dsg::sssp {
 
 namespace {
 
-// The registry.  Order matches the Algorithm enum values so enum lookup is
-// an index.  Fields: {id, name, batch_parallel, deterministic, threaded,
-// run}.  batch_parallel notes:
+// The registry, in enum order.  Fields: {id, name, batch_parallel,
+// deterministic, threaded, run}.  batch_parallel notes:
 //   - capi carries the listing's global operator state (delta/i_global);
-//   - openmp and the async variants parallelize internally — nesting a
+//   - openmp and the async variant parallelize internally — nesting a
 //     source-level fan-out on top would oversubscribe.
-// deterministic notes: the async variants return bit-identical *distances*
-// for any schedule, but their stats counters are schedule-dependent (see
+// deterministic notes: the async variant returns bit-identical *distances*
+// for any schedule, but its stats counters are schedule-dependent (see
 // AlgorithmInfo::deterministic).
-constexpr std::array<AlgorithmInfo, kNumAlgorithms> kRegistry{{
+constexpr AlgorithmInfo kRegistry[] = {
     {Algorithm::kBuckets, "buckets", true, true, false,
      &delta_stepping_buckets},
     {Algorithm::kGraphblas, "graphblas", true, true, false,
@@ -46,11 +44,9 @@ constexpr std::array<AlgorithmInfo, kNumAlgorithms> kRegistry{{
     {Algorithm::kBellmanFord, "bellman_ford", true, true, false,
      &bellman_ford},
     {Algorithm::kDijkstra, "dijkstra", true, true, false, &dijkstra},
-    {Algorithm::kRhoStepping, "rho_stepping", false, false, true,
-     &rho_stepping},
     {Algorithm::kDeltaSteppingAsync, "delta_stepping_async", false, false,
      true, &delta_stepping_async},
-}};
+};
 
 }  // namespace
 
@@ -75,7 +71,6 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm) {
     case Algorithm::kBellmanFord:
     case Algorithm::kDijkstra:
       break;  // no Δ-dependent preprocessing
-    case Algorithm::kRhoStepping:
     case Algorithm::kDeltaSteppingAsync:
       break;  // raw CSR traversal — no split to warm
   }
@@ -101,12 +96,11 @@ Algorithm auto_algorithm(const GraphPlan& plan) {
 std::span<const AlgorithmInfo> algorithm_registry() { return kRegistry; }
 
 const AlgorithmInfo& algorithm_info(Algorithm algorithm) {
-  const auto idx = static_cast<std::size_t>(algorithm);
-  if (idx >= kRegistry.size()) {
-    throw grb::InvalidValue("SsspSolver: unknown algorithm id " +
-                            std::to_string(static_cast<int>(algorithm)));
+  for (const auto& info : kRegistry) {
+    if (info.id == algorithm) return info;
   }
-  return kRegistry[idx];
+  throw grb::InvalidValue("sssp: unknown algorithm id " +
+                          std::to_string(static_cast<int>(algorithm)));
 }
 
 const AlgorithmInfo* find_algorithm(std::string_view name) {

@@ -47,12 +47,9 @@ enum class Algorithm {
   kOpenmp = 5,           ///< task-parallel fused (Sec. VI-C)
   kBellmanFord = 6,      ///< SPFA worklist baseline
   kDijkstra = 7,         ///< binary-heap baseline / oracle
-  kRhoStepping = 8,      ///< lock-free async rho-stepping (PASGAL style)
+  // 8 is retired (it named rho_stepping); do not reuse it.
   kDeltaSteppingAsync = 9,  ///< lock-free async delta-stepping
 };
-
-/// Number of registered algorithms (contiguous enum values 0..N-1).
-inline constexpr int kNumAlgorithms = 10;
 
 /// Registry row: how to name, select and run one variant.
 struct AlgorithmInfo {
@@ -62,10 +59,10 @@ struct AlgorithmInfo {
   /// variant is internally serial and free of global state).
   bool batch_parallel;
   /// True when repeated runs are bit-identical end to end, SsspStats
-  /// included.  The async variants are value-deterministic (distances are
+  /// included.  The async variant is value-deterministic (distances are
   /// the unique fp fixed point, identical for any schedule or thread
-  /// count) but their schedules — and therefore their stats counters —
-  /// vary run to run, so they are flagged false.
+  /// count) but its schedule — and therefore its stats counters — varies
+  /// run to run, so it is flagged false.
   bool deterministic;
   /// True when the variant parallelizes internally and honors
   /// ExecOptions::num_threads (the registry-driven scaling bench sweeps
@@ -79,7 +76,9 @@ struct AlgorithmInfo {
 /// All registered algorithms, ordered by enum value.
 std::span<const AlgorithmInfo> algorithm_registry();
 
-/// Lookup by enum (always succeeds for a valid enum).
+/// Lookup by enum: the one check of an algorithm id.  Throws
+/// grb::InvalidValue for an id with no registry entry (the retired 8,
+/// anything out of range).
 const AlgorithmInfo& algorithm_info(Algorithm algorithm);
 
 /// Lookup by stable name; nullptr when unknown.

@@ -231,15 +231,11 @@ TEST(FaultSweep, SolverEntry) {
 TEST(FaultSweep, AsyncWorkerRound) {
   check_throw_then_recover({Algorithm::kDeltaSteppingAsync, "async/round"}, 0);
   check_throw_then_recover({Algorithm::kDeltaSteppingAsync, "async/round"}, 2);
-  check_throw_then_recover({Algorithm::kRhoStepping, "async/round"}, 0);
 }
 
 TEST(FaultSweep, AsyncCoordinator) {
   check_throw_then_recover(
       {Algorithm::kDeltaSteppingAsync, "async/coordinate"}, 0);
-  // rho = max(64, n/8) swallows the whole diamond in one round, so only
-  // the first coordinate call is guaranteed.
-  check_throw_then_recover({Algorithm::kRhoStepping, "async/coordinate"}, 0);
 }
 
 TEST(FaultSweep, AsyncEngineSurvivesRepeatedFaults) {

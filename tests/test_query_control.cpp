@@ -182,9 +182,8 @@ TEST(QueryLifecycle, SolverIsReusableAfterInterruption) {
 // not depend on thread scheduling).  The run must come back kCancelled —
 // the cancel was observed at a round boundary, not after running to
 // completion — with valid partial upper bounds.  The graph is a 64x64 grid
-// with weights 1..5 and rho_stepping runs with rho = 1, so every variant
-// needs many rounds: on a unit-weight path rho_stepping finishes in one
-// round, which leaves no mid-run window.  The test pins that window.
+// with weights 1..5 at Δ = 1, so every variant needs many rounds, which
+// leaves a mid-run window.  The test pins that window.
 
 struct MidRunCase {
   Algorithm algorithm;
@@ -198,7 +197,6 @@ void check_mid_run_cancel(const MidRunCase& c) {
   SolverOptions options;
   options.algorithm = c.algorithm;
   options.delta = 1.0;
-  options.exec.rho = 1;  // read by rho_stepping only
   SsspSolver solver(a, options);
 
   // The mid-run window: an uninterrupted run takes many rounds.
@@ -233,10 +231,6 @@ TEST(QueryLifecycle, MidRunCancelOpenmp) {
   check_mid_run_cancel({Algorithm::kOpenmp, "openmp/round"});
 }
 #endif
-
-TEST(QueryLifecycle, MidRunCancelRhoStepping) {
-  check_mid_run_cancel({Algorithm::kRhoStepping, "async/coordinate"});
-}
 
 TEST(QueryLifecycle, MidRunCancelDeltaSteppingAsync) {
   check_mid_run_cancel({Algorithm::kDeltaSteppingAsync, "async/coordinate"});

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -48,18 +49,56 @@ grb::Matrix<double> weighted_test_graph(Index n = 400, std::size_t extra = 1200,
 
 TEST(SolverRegistry, CoversAllAlgorithmsWithStableNames) {
   const auto registry = sssp::algorithm_registry();
-  ASSERT_EQ(registry.size(), static_cast<std::size_t>(sssp::kNumAlgorithms));
-  const char* expected[] = {"buckets",  "graphblas", "graphblas_select",
-                            "capi",     "fused",     "openmp",
-                            "bellman_ford", "dijkstra",
-                            "rho_stepping", "delta_stepping_async"};
+  // Stable (id, name) pairs in enum order; 8 is retired.
+  const struct {
+    int id;
+    const char* name;
+  } expected[] = {{0, "buckets"},      {1, "graphblas"},
+                  {2, "graphblas_select"}, {3, "capi"},
+                  {4, "fused"},        {5, "openmp"},
+                  {6, "bellman_ford"}, {7, "dijkstra"},
+                  {9, "delta_stepping_async"}};
+  ASSERT_EQ(registry.size(), std::size(expected));
   for (std::size_t k = 0; k < registry.size(); ++k) {
-    EXPECT_EQ(static_cast<std::size_t>(registry[k].id), k);
-    EXPECT_STREQ(registry[k].name, expected[k]);
+    EXPECT_EQ(static_cast<int>(registry[k].id), expected[k].id);
+    EXPECT_STREQ(registry[k].name, expected[k].name);
     EXPECT_EQ(sssp::find_algorithm(registry[k].name), &registry[k]);
     EXPECT_EQ(&sssp::algorithm_info(registry[k].id), &registry[k]);
   }
   EXPECT_EQ(sssp::find_algorithm("no_such_algorithm"), nullptr);
+}
+
+// algorithm_info is the one check of an id: the retired 8 and
+// out-of-range ids are rejected by name, by enum, and by both C API
+// constructors, before any plan is built.
+TEST(SolverRegistry, RetiredIdIsRejected) {
+  EXPECT_EQ(sssp::find_algorithm("rho_stepping"), nullptr);
+  EXPECT_THROW(sssp::algorithm_info(Algorithm{8}), grb::InvalidValue);
+  EXPECT_THROW(sssp::algorithm_info(Algorithm{10}), grb::InvalidValue);
+
+  const auto m = diamond_graph().to_matrix();
+  GrB_Matrix a = nullptr;
+  ASSERT_EQ(GrB_Matrix_new(&a, m.nrows(), m.ncols()), GrB_SUCCESS);
+  m.for_each([&](Index r, Index c, const double& w) {
+    GrB_Matrix_setElement_FP64(a, w, r, c);
+  });
+  for (const int alg : {8, 10, -1}) {
+    DsgSolver solver = nullptr;
+    EXPECT_EQ(DsgSolver_new(&solver, a, static_cast<DsgSsspAlgorithm>(alg),
+                            1.0),
+              GrB_INVALID_VALUE)
+        << "solver algorithm " << alg;
+    if (solver != nullptr) DsgSolver_free(&solver);
+  }
+  for (const int alg : {8, 10}) {  // -1 is DSG_SSSP_AUTO for a server
+    DsgServer server = nullptr;
+    EXPECT_EQ(DsgServer_new(&server, a, static_cast<DsgSsspAlgorithm>(alg),
+                            1.0, 1, 4, 4),
+              GrB_INVALID_VALUE)
+        << "server algorithm " << alg;
+    if (server != nullptr) DsgServer_free(&server);
+  }
+  GrB_Matrix_free(&a);
 }
 
 // ---------------------------------------------------------------------------
@@ -81,7 +120,7 @@ TEST(SsspSolver, MatchesRegistryCoreAndOracleOnAllAlgorithms) {
     options.delta = delta;
     SsspSolver solver(a, options);
     const auto got = solver.solve(source);
-    // The async engines are value-deterministic (bit-identical distances
+    // The async engine is value-deterministic (bit-identical distances
     // for any schedule), so exact equality holds for every entry.
     const auto want = run_registry(plan, info.id, source);
     ASSERT_EQ(got.dist.size(), want.dist.size());
@@ -407,12 +446,12 @@ TEST_F(DsgSolverCapi, ErrorCodesNotExceptions) {
 
   // Non-finite Δ: GrB_INVALID_VALUE, for every algorithm.
   const double inf = std::numeric_limits<double>::infinity();
-  for (int alg = 0; alg < sssp::kNumAlgorithms; ++alg) {
+  for (const auto& info : sssp::algorithm_registry()) {
     for (const double delta : {inf, -inf, std::nan("")}) {
-      EXPECT_EQ(DsgSolver_new(&solver, a_, static_cast<DsgSsspAlgorithm>(alg),
-                              delta),
+      EXPECT_EQ(DsgSolver_new(&solver, a_,
+                              static_cast<DsgSsspAlgorithm>(info.id), delta),
                 GrB_INVALID_VALUE)
-          << "algorithm " << alg << " delta " << delta;
+          << "algorithm " << info.name << " delta " << delta;
       EXPECT_EQ(solver, nullptr);
     }
   }

@@ -1,8 +1,8 @@
 // test_sssp_async.cpp — the lock-free asynchronous relaxation engine
-// (rho_stepping + delta_stepping_async).
+// (delta_stepping_async).
 //
-// The engines are *schedule*-nondeterministic: stats counters and round
-// structure vary with thread interleaving.  Their *distances* do not — at
+// The engine is *schedule*-nondeterministic: stats counters and round
+// structure vary with thread interleaving.  Its *distances* do not — at
 // quiescence every edge satisfies dist[v] <= fp(dist[u] + w), and since
 // IEEE addition is monotone with non-negative weights the reachable fixed
 // point is unique: the min over fp path sums, the same values Dijkstra
@@ -68,24 +68,17 @@ TEST(WriteMin, ConcurrentWritersConvergeToGlobalMin) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry contract: both variants registered, flagged nondeterministic and
-// threaded, exposed by name.
+// Registry contract: the variant is registered, flagged nondeterministic
+// and threaded, exposed by name.
 // ---------------------------------------------------------------------------
 
 TEST(AsyncRegistry, VariantsRegisteredWithHonestFlags) {
-  const auto& rho = sssp::algorithm_info(Algorithm::kRhoStepping);
-  EXPECT_STREQ(rho.name, "rho_stepping");
-  EXPECT_FALSE(rho.deterministic);  // schedule-dependent stats
-  EXPECT_TRUE(rho.threaded);
-  EXPECT_FALSE(rho.batch_parallel);  // spawns its own threads
-
   const auto& da = sssp::algorithm_info(Algorithm::kDeltaSteppingAsync);
   EXPECT_STREQ(da.name, "delta_stepping_async");
-  EXPECT_FALSE(da.deterministic);
+  EXPECT_FALSE(da.deterministic);  // schedule-dependent stats
   EXPECT_TRUE(da.threaded);
-  EXPECT_FALSE(da.batch_parallel);
+  EXPECT_FALSE(da.batch_parallel);  // spawns its own threads
 
-  EXPECT_EQ(sssp::find_algorithm("rho_stepping"), &rho);
   EXPECT_EQ(sssp::find_algorithm("delta_stepping_async"), &da);
 
   // The deterministic engines keep their flag.
@@ -94,15 +87,20 @@ TEST(AsyncRegistry, VariantsRegisteredWithHonestFlags) {
 }
 
 // ---------------------------------------------------------------------------
-// Property sweep: sources x thread counts x tuning knobs, both variants,
-// distances-only oracle.  Families chosen to stress both traversal modes:
-// the grid keeps frontiers thin (sparse mode), rmat floods them (dense
-// switch), the two-islands graph exercises unreachability.
+// Property sweep: sources x thread counts x Δ, distances-only oracle.
+// Families chosen to stress both traversal modes: the grid keeps frontiers
+// thin (sparse mode), rmat floods them (dense switch), the two-islands
+// graph exercises unreachability.  The extreme Δs force extreme schedules
+// on the grid: 1e-12 about one vertex per round, 1e300 a single round,
+// and 1e-300 loses the bucket's +1 in floating point, so a round admits
+// nothing and the engine's flush path runs.  Only distances are checked;
+// round counts are schedule-dependent.
 // ---------------------------------------------------------------------------
 
 struct AsyncCase {
   const char* graph;
-  double knob;  // delta for delta_stepping_async, rho for rho_stepping
+  double delta;
+  const char* label;  // test-name suffix
 };
 
 class AsyncProperty : public ::testing::TestWithParam<AsyncCase> {
@@ -126,12 +124,11 @@ class AsyncProperty : public ::testing::TestWithParam<AsyncCase> {
   }
 };
 
-TEST_P(AsyncProperty, BothVariantsMatchOracleAcrossSourcesAndThreads) {
+TEST_P(AsyncProperty, MatchesOracleAcrossSourcesAndThreads) {
   const AsyncCase c = GetParam();
   const auto a = make(c.graph);
   const Index n = a.nrows();
-  // One plan at Δ = knob; rho_stepping ignores the plan's Δ.
-  const GraphPlan plan(grb::Matrix<double>(a), c.knob);
+  const GraphPlan plan(grb::Matrix<double>(a), c.delta);
   for (Index source : {Index{0}, n / 2, n - 1}) {
     for (int threads : {1, 2, 4}) {
       SCOPED_TRACE("graph=" + std::string(c.graph) +
@@ -143,23 +140,23 @@ TEST_P(AsyncProperty, BothVariantsMatchOracleAcrossSourcesAndThreads) {
           a, source,
           run_registry(plan, Algorithm::kDeltaSteppingAsync, source, exec)
               .dist);
-
-      exec.rho = static_cast<Index>(c.knob);
-      DSG_CHECK_DISTANCES_ONLY(
-          a, source,
-          run_registry(plan, Algorithm::kRhoStepping, source, exec).dist);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    GraphsAndKnobs, AsyncProperty,
-    ::testing::Values(AsyncCase{"grid", 1.0}, AsyncCase{"grid", 8.0},
-                      AsyncCase{"rmat", 0.5}, AsyncCase{"rmat", 64.0},
-                      AsyncCase{"islands", 1.0}),
+    GraphsAndDeltas, AsyncProperty,
+    ::testing::Values(AsyncCase{"grid", 1.0, "k10"},
+                      AsyncCase{"grid", 8.0, "k80"},
+                      AsyncCase{"grid", 1e-12, "one_vertex_per_round"},
+                      AsyncCase{"grid", 1e300, "one_round"},
+                      AsyncCase{"grid", 1e-300, "empty_window"},
+                      AsyncCase{"rmat", 0.5, "k5"},
+                      AsyncCase{"rmat", 64.0, "k640"},
+                      AsyncCase{"islands", 1.0, "k10"}),
     [](const auto& param_info) {
-      return std::string(param_info.param.graph) + "_k" +
-             std::to_string(static_cast<int>(param_info.param.knob * 10));
+      return std::string(param_info.param.graph) + "_" +
+             param_info.param.label;
     });
 
 // ---------------------------------------------------------------------------
@@ -172,22 +169,18 @@ TEST(AsyncDeterminism, DistancesBitIdenticalAcrossThreadCounts) {
   const GraphPlan plan(random_weighted(350, 1400, 71), 0.7);
   const int hw = static_cast<int>(
       std::max(2u, std::thread::hardware_concurrency()));
-  for (const Algorithm alg :
-       {Algorithm::kRhoStepping, Algorithm::kDeltaSteppingAsync}) {
-    SCOPED_TRACE(sssp::algorithm_info(alg).name);
-    auto run = [&](int threads) {
-      ExecOptions exec;
-      exec.num_threads = threads;
-      return run_registry(plan, alg, 3, exec).dist;
-    };
-    const auto serial = run(1);
-    for (int threads : {2, hw}) {
-      const auto parallel = run(threads);
-      ASSERT_EQ(parallel.size(), serial.size());
-      for (std::size_t v = 0; v < serial.size(); ++v) {
-        EXPECT_EQ(parallel[v], serial[v])
-            << "threads=" << threads << " vertex " << v;
-      }
+  auto run = [&](int threads) {
+    ExecOptions exec;
+    exec.num_threads = threads;
+    return run_registry(plan, Algorithm::kDeltaSteppingAsync, 3, exec).dist;
+  };
+  const auto serial = run(1);
+  for (int threads : {2, hw}) {
+    const auto parallel = run(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t v = 0; v < serial.size(); ++v) {
+      EXPECT_EQ(parallel[v], serial[v])
+          << "threads=" << threads << " vertex " << v;
     }
   }
 }
@@ -201,50 +194,30 @@ TEST(AsyncDeterminism, DistancesBitIdenticalAcrossThreadCounts) {
 TEST(AsyncSolver, BatchWithDuplicateSourcesMatchesPerSourceLoop) {
   const auto a = random_weighted(200, 600, 29);
   const std::vector<Index> sources = {5, 0, 5, 199, 5, 0};
-  for (const Algorithm alg :
-       {Algorithm::kRhoStepping, Algorithm::kDeltaSteppingAsync}) {
-    SCOPED_TRACE(std::string("algorithm=") + sssp::algorithm_info(alg).name);
-    SolverOptions options;
-    options.algorithm = alg;
-    options.delta = 0.9;
-    options.exec.num_threads = 2;
-    SsspSolver solver(a, options);
-    const auto batched = solver.solve_batch(sources);
-    ASSERT_EQ(batched.size(), sources.size());
-    for (std::size_t k = 0; k < sources.size(); ++k) {
-      const auto single = solver.solve(sources[k]);
-      ASSERT_EQ(batched[k].dist.size(), single.dist.size());
-      for (std::size_t v = 0; v < single.dist.size(); ++v) {
-        EXPECT_EQ(batched[k].dist[v], single.dist[v])
-            << "query " << k << " vertex " << v;
-      }
-      DSG_CHECK_DISTANCES_ONLY(a, sources[k], batched[k].dist);
+  SolverOptions options;
+  options.algorithm = Algorithm::kDeltaSteppingAsync;
+  options.delta = 0.9;
+  options.exec.num_threads = 2;
+  SsspSolver solver(a, options);
+  const auto batched = solver.solve_batch(sources);
+  ASSERT_EQ(batched.size(), sources.size());
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    const auto single = solver.solve(sources[k]);
+    ASSERT_EQ(batched[k].dist.size(), single.dist.size());
+    for (std::size_t v = 0; v < single.dist.size(); ++v) {
+      EXPECT_EQ(batched[k].dist[v], single.dist[v])
+          << "query " << k << " vertex " << v;
     }
-  }
-}
-
-TEST(AsyncSolver, RhoKnobFlowsThroughSolverOptions) {
-  const auto a = random_weighted(150, 450, 43);
-  // Extreme rho values change the schedule drastically but never the
-  // answer: rho=1 processes ~one vertex per round, huge rho degenerates to
-  // Bellman-Ford-ish full-frontier rounds.
-  for (const Index rho : {Index{1}, Index{4}, Index{1u << 20}}) {
-    SCOPED_TRACE("rho=" + std::to_string(rho));
-    SolverOptions options;
-    options.algorithm = Algorithm::kRhoStepping;
-    options.exec.rho = rho;
-    options.exec.num_threads = 2;
-    SsspSolver solver(a, options);
-    DSG_CHECK_DISTANCES_ONLY(a, 7, solver.solve(7).dist);
+    DSG_CHECK_DISTANCES_ONLY(a, sources[k], batched[k].dist);
   }
 }
 
 // ---------------------------------------------------------------------------
-// v2 C API: the DSG_SSSP_RHO / DSG_SSSP_DELTA_ASYNC enum values drive the
-// same engines end to end.
+// v2 C API: the DSG_SSSP_DELTA_ASYNC enum value drives the same engine end
+// to end.
 // ---------------------------------------------------------------------------
 
-TEST(AsyncCapi, RhoAndAsyncDeltaSolveThroughHandles) {
+TEST(AsyncCapi, AsyncDeltaSolvesThroughHandles) {
   const auto m = diamond_graph().to_matrix();
   GrB_Matrix a = nullptr;
   ASSERT_EQ(GrB_Matrix_new(&a, m.nrows(), m.ncols()), GrB_SUCCESS);
@@ -253,27 +226,19 @@ TEST(AsyncCapi, RhoAndAsyncDeltaSolveThroughHandles) {
   });
 
   const auto want = diamond_distances_from_0();
-  struct Variant {
-    DsgSsspAlgorithm alg;
-    const char* name;
-  };
-  for (const Variant v : {Variant{DSG_SSSP_RHO, "rho_stepping"},
-                          Variant{DSG_SSSP_DELTA_ASYNC,
-                                  "delta_stepping_async"}}) {
-    SCOPED_TRACE(v.name);
-    DsgSolver solver = nullptr;
-    ASSERT_EQ(DsgSolver_new(&solver, a, v.alg, 1.0), GrB_SUCCESS);
-    const char* name = nullptr;
-    ASSERT_EQ(DsgSolver_algorithm_name(&name, solver), GrB_SUCCESS);
-    EXPECT_STREQ(name, v.name);
+  DsgSolver solver = nullptr;
+  ASSERT_EQ(DsgSolver_new(&solver, a, DSG_SSSP_DELTA_ASYNC, 1.0),
+            GrB_SUCCESS);
+  const char* name = nullptr;
+  ASSERT_EQ(DsgSolver_algorithm_name(&name, solver), GrB_SUCCESS);
+  EXPECT_STREQ(name, "delta_stepping_async");
 
-    double dist[5] = {-1, -1, -1, -1, -1};
-    ASSERT_EQ(DsgSolver_solve(solver, 0, dist), GrB_SUCCESS);
-    for (std::size_t k = 0; k < want.size(); ++k) {
-      EXPECT_NEAR(dist[k], want[k], 1e-12) << "vertex " << k;
-    }
-    ASSERT_EQ(DsgSolver_free(&solver), GrB_SUCCESS);
+  double dist[5] = {-1, -1, -1, -1, -1};
+  ASSERT_EQ(DsgSolver_solve(solver, 0, dist), GrB_SUCCESS);
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_NEAR(dist[k], want[k], 1e-12) << "vertex " << k;
   }
+  ASSERT_EQ(DsgSolver_free(&solver), GrB_SUCCESS);
   GrB_Matrix_free(&a);
 }
 

@@ -177,18 +177,16 @@ struct Impl {
 inline void PrintTo(const Impl& impl, std::ostream* os) { *os << impl.name; }
 
 /// True for the registry entries that bucket by Δ (everything except the
-/// Dijkstra / Bellman–Ford baselines and rho_stepping, which schedules by
-/// frontier quantiles instead).
+/// Dijkstra / Bellman–Ford baselines).
 inline bool uses_delta(sssp::Algorithm algorithm) {
   return algorithm != sssp::Algorithm::kDijkstra &&
-         algorithm != sssp::Algorithm::kBellmanFord &&
-         algorithm != sssp::Algorithm::kRhoStepping;
+         algorithm != sssp::Algorithm::kBellmanFord;
 }
 
 namespace detail {
 
 /// The registry in enum order.  Threaded entries (openmp and the async
-/// engines) appear at 2 and 4 threads, so parallel bugs that need more
+/// engine) appear at 2 and 4 threads, so parallel bugs that need more
 /// than two threads still have a chance to surface.
 inline std::vector<Impl> registry_impls(bool delta_only) {
   std::vector<Impl> impls;
@@ -217,8 +215,7 @@ inline const std::vector<Impl>& delta_stepping_impls() {
   return impls;
 }
 
-/// The whole registry, baselines included (Δ ignored by the baselines and
-/// by rho_stepping).
+/// The whole registry, baselines included (Δ ignored by the baselines).
 inline const std::vector<Impl>& all_sssp_impls() {
   static const std::vector<Impl> impls = detail::registry_impls(false);
   return impls;
