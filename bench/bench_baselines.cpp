@@ -3,7 +3,9 @@
 // implementations, the C-API transcription, the OpenMP variant, Dijkstra
 // and Bellman-Ford) runs through a warm SsspSolver, so the numbers are
 // per-query costs with plan setup amortized (the serving scenario).  The
-// one-time plan cost is reported in its own column.
+// one-time plan cost is reported in its own column, and `auto` names the
+// core sssp::auto_algorithm routes the graph to at the run's Δ, so the
+// routing rule can be checked against the measured columns.
 //
 // Expected shape: fused ~ buckets ~ dijkstra within small factors;
 // graphblas slower by the Fig. 3 factor; graphblas_select between the two:
@@ -28,7 +30,8 @@ int main(int argc, char** argv) {
       "baselines",
       "ABL-BASE: warm per-query ms by registry algorithm, delta=" +
           format_double(delta, 2));
-  std::vector<std::string> header = {"graph", "nodes", "split_plan_ms"};
+  std::vector<std::string> header = {"graph", "nodes", "split_plan_ms",
+                                     "auto"};
   for (const auto& info : sssp::algorithm_registry()) {
     header.push_back(info.name);
   }
@@ -54,6 +57,8 @@ int main(int argc, char** argv) {
         // split) — what a one-shot solver re-pays per query.
         // bellman_ford/dijkstra pay only the validation scan.
         row.emplace_back(solver.plan().setup_seconds() * 1000.0);
+        row.emplace_back(
+            sssp::algorithm_info(sssp::auto_algorithm(solver.plan())).name);
         first = false;
       }
       row.emplace_back(ms);
@@ -63,7 +68,8 @@ int main(int argc, char** argv) {
 
   table.add_footer("per-query cost on a warm plan; split_plan_ms is the "
                    "one-time validation + A_L/A_H split setup, shared by "
-                   "the buckets/fused/openmp and graphblas families.");
+                   "the buckets/fused/openmp and graphblas families; auto "
+                   "is auto_algorithm's pick at this delta.");
   table.add_footer("expected shape: fused/buckets/dijkstra within small "
                    "factors; graphblas slower by the Fig. 3 factor; "
                    "graphblas_select between the two: several times below "

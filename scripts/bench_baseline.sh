@@ -26,7 +26,7 @@
 #
 # Values are JSON numbers (unit in the column name: _ms, qps, speedup
 # ratios), booleans or null (not applicable, or non-finite); the only
-# strings are identifiers: graph, algorithm, leg, op, metric.
+# strings are identifiers: graph, algorithm, auto, leg, op, metric.
 #
 # Table keys, by the bench that prints them:
 #   fig3_fusion    bench_fig3_fusion: one-shot unfused (graphblas) vs fused
@@ -34,7 +34,8 @@
 #                  plus fused_setup_ms, whose share of fused_ms is the
 #                  paper's Sec. VI-C filtering claim (35-40%).
 #   baselines      bench_baselines: warm per-query ms for every registry
-#                  algorithm (one column each) plus split_plan_ms.
+#                  algorithm (one column each) plus split_plan_ms, and
+#                  `auto`: the algorithm sssp::auto_algorithm picks.
 #   delta_sweep    bench_delta_sweep: fused ms, buckets, light phases and
 #                  relaxations across the Δ grid (Sec. VII), `auto` marking
 #                  the plan's auto-Δ; dijkstra and bellman_ford reference

@@ -356,7 +356,7 @@ typedef struct {
 } DsgServerStats;
 
 /* Builds a server over a snapshot of `a`.  `algorithm` may be any
- * pool-safe selector or DSG_SSSP_AUTO (statistics-driven choice);
+ * pool-safe selector or DSG_SSSP_AUTO (cost-driven choice);
  * DSG_SSSP_CAPI is rejected (process-global operator state cannot run on
  * concurrent workers).  num_workers <= 0 selects the hardware thread
  * count; queue_capacity 0 is clamped to 1; cache_capacity 0 disables the

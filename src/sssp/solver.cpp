@@ -1,7 +1,9 @@
 #include "sssp/solver.hpp"
 
 #include <exception>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "sssp/async/async_stepping.hpp"
 #include "sssp/bellman_ford.hpp"
@@ -76,7 +78,42 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm) {
   }
 }
 
-Algorithm auto_algorithm(const GraphPlan& plan) {
+namespace {
+
+/// auto_algorithm's pick, made once per plan: a derived slot, so the
+/// weight pass and the BFS below count in setup_seconds().
+struct AutoRoute {
+  Algorithm algorithm;
+};
+
+/// True when some vertex lies more than `budget` hops from `source`.  A
+/// level-synchronous BFS that stops at the first level past the budget,
+/// since no deeper level can change the answer.
+bool hops_exceed(const grb::Matrix<double>& a, Index source, double budget) {
+  auto row_ptr = a.row_ptr();
+  auto col_ind = a.col_ind();
+  std::vector<unsigned char> seen(a.nrows(), 0);
+  std::vector<Index> frontier{source};
+  std::vector<Index> next;
+  seen[source] = 1;
+  for (Index hops = 0; !frontier.empty(); ++hops) {
+    if (static_cast<double>(hops) > budget) return true;
+    next.clear();
+    for (Index v : frontier) {
+      for (Index k = row_ptr[v]; k < row_ptr[v + 1]; ++k) {
+        const Index w = col_ind[k];
+        if (!seen[w]) {
+          seen[w] = 1;
+          next.push_back(w);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  return false;
+}
+
+Algorithm route(const GraphPlan& plan) {
   const PlanStats& stats = plan.stats();
   // Below the cutoff (or with no edges at all) the fused core's bucket
   // machinery costs more than it saves; the heap baseline is the floor.
@@ -84,13 +121,47 @@ Algorithm auto_algorithm(const GraphPlan& plan) {
   if (stats.num_edges == 0 || stats.num_vertices < kSmallGraphCutoff) {
     return Algorithm::kDijkstra;
   }
-  // Exact light fraction from the materialized split (the serving layer
-  // persists/warms it anyway, so this is a const read in steady state).
-  const detail::LightHeavySplit& split = plan.light_heavy();
-  const double light_fraction = static_cast<double>(split.light_ind.size()) /
-                                static_cast<double>(stats.num_edges);
-  if (light_fraction <= 0.1) return Algorithm::kDijkstra;
-  return Algorithm::kFused;
+  // One pass over the weights: the light fraction (the split's rule,
+  // 0 < w <= Δ, without building the split) and the mean weight.
+  const double delta = plan.delta();
+  std::size_t light = 0;
+  double weight_sum = 0.0;
+  for (const double w : plan.matrix().raw_values()) {
+    light += (w > 0.0 && w <= delta) ? 1 : 0;
+    weight_sum += w;
+  }
+  const double m = static_cast<double>(stats.num_edges);
+  if (static_cast<double>(light) / m <= 0.1) return Algorithm::kDijkstra;
+
+  // The cost rule documented on auto_algorithm.  buckets also scans its
+  // ceil(max_w / Δ) + 2 cyclic slots per bucket, so it is a candidate only
+  // while they number fewer than fused's n vertices.  The constant was
+  // fitted on one thread over grids, small worlds, Erdős–Rényi and rmat
+  // graphs: the winner flips near n × B ≈ m.  Solving n × hops × mean
+  // weight / Δ > kRelaxationInScans × m for hops gives the BFS its budget.
+  constexpr double kRelaxationInScans = 1.0;
+  const double n = static_cast<double>(stats.num_vertices);
+  if (stats.max_weight / delta >= n) return Algorithm::kFused;
+  const double mean_weight = weight_sum / m;
+  const double hop_budget = kRelaxationInScans * m * delta / (n * mean_weight);
+  // The first max-degree vertex, found from the CSR itself: a loaded
+  // plan's stats come from the file header.
+  auto row_ptr = plan.matrix().row_ptr();
+  Index hub = 0;
+  for (Index v = 1; v < plan.num_vertices(); ++v) {
+    if (row_ptr[v + 1] - row_ptr[v] > row_ptr[hub + 1] - row_ptr[hub]) hub = v;
+  }
+  return hops_exceed(plan.matrix(), hub, hop_budget) ? Algorithm::kBuckets
+                                                     : Algorithm::kFused;
+}
+
+}  // namespace
+
+Algorithm auto_algorithm(const GraphPlan& plan) {
+  const auto make = [&] {
+    return std::make_shared<const AutoRoute>(AutoRoute{route(plan)});
+  };
+  return plan.derived<AutoRoute>(make).algorithm;
 }
 
 std::span<const AlgorithmInfo> algorithm_registry() { return kRegistry; }

@@ -89,18 +89,26 @@ const AlgorithmInfo* find_algorithm(std::string_view name);
 /// SsspSolver construction and by the serving layer's worker pool.
 void warm_plan(const GraphPlan& plan, Algorithm algorithm);
 
-/// Auto-algorithm selection from the plan's graph/Δ statistics — the
-/// serving-layer companion of GraphPlan::auto_delta.  The policy, from the
-/// repository's own bench trajectory (fig3_fusion / delta_sweep):
+/// Auto-algorithm selection by cost — the serving-layer companion of
+/// GraphPlan::auto_delta.  The rule, in order:
 ///   - tiny or edgeless graphs (< 4096 vertices): kDijkstra — the heap
 ///     baseline wins below the point where bucket setup amortizes;
 ///   - a Δ that leaves almost no light edges (light fraction <= 10%):
 ///     kDijkstra — delta-stepping degenerates to Dijkstra-with-overhead
 ///     when nearly every relaxation is a heavy-phase one;
-///   - otherwise: kFused, the default fused CSR core.
-/// Only internally-serial, pool-safe variants are returned (never kCapi,
-/// whose process-global operator state cannot run on concurrent workers).
-/// Forces the plan's light/heavy split on graphs past the size cutoff.
+///   - otherwise compare the two delta-stepping cores: kFused scans all n
+///     vertices once per bucket, kBuckets relaxes about m edges in all.
+///     With B = hops × mean weight / Δ estimating the bucket count (hops:
+///     the BFS eccentricity of the first max-degree vertex), kBuckets when
+///     n × B > m and its max_w / Δ cyclic slots number fewer than n;
+///     kFused otherwise.  The one constant, 1, weighs a relaxation against
+///     a vertex scan and was fitted by measurement.
+/// The light count and mean weight are one pass over the weights, so a
+/// plan routed to Dijkstra never builds its light/heavy split; the BFS
+/// stops at the first level past the hop budget.  The pick is made once
+/// per plan and counts in setup_seconds().  Only internally-serial,
+/// pool-safe variants are returned (never kCapi, whose process-global
+/// operator state cannot run on concurrent workers).
 Algorithm auto_algorithm(const GraphPlan& plan);
 
 /// Solver construction options.

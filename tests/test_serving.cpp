@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -375,9 +376,17 @@ TEST(Serving, AutoAlgorithmPicksDijkstraForTinyGraphs) {
 }
 
 TEST(Serving, AutoAlgorithmPicksFusedForLightDominatedGraphs) {
-  // 5000 unit-weight vertices, auto Δ: every edge is light.
-  GraphPlan plan(test::path_graph(5000).to_matrix());
+  // 5000 unit-weight vertices, auto Δ: every edge is light.  A star, so
+  // at most three buckets per query and fused's vertex scans stay cheap.
+  GraphPlan plan(generate_star(5000).to_matrix());
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kFused);
+}
+
+TEST(Serving, AutoAlgorithmPicksBucketsForLongPaths) {
+  // 5000 unit-weight vertices in a line, auto Δ: 5000 buckets, so fused
+  // would scan all 5000 vertices 5000 times.
+  GraphPlan plan(test::path_graph(5000).to_matrix());
+  EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kBuckets);
 }
 
 TEST(Serving, AutoAlgorithmPicksDijkstraWhenAlmostNothingIsLight) {
@@ -386,6 +395,79 @@ TEST(Serving, AutoAlgorithmPicksDijkstraWhenAlmostNothingIsLight) {
   GraphPlan plan(test::path_graph(5000).to_matrix(), 0.125);
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kDijkstra);
 }
+
+TEST(Serving, AutoAlgorithmKeepsFusedWhenBucketSlotsOutnumberVertices) {
+  // Half the edges weigh 1e-9 and half 1: at Δ 1e-9 half are light, but
+  // buckets would keep 1e9 cyclic slots for 5000 vertices.
+  EdgeList graph(5000);
+  for (Index v = 0; v + 1 < 5000; ++v) {
+    const double w = v % 2 == 0 ? 1e-9 : 1.0;
+    graph.add_edge(v, v + 1, w);
+    graph.add_edge(v + 1, v, w);
+  }
+  GraphPlan plan(graph.to_matrix(), 1e-9);
+  EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kFused);
+}
+
+// 64x64 grid, integer weights 1..100: `road`'s shape at test size (~125
+// hops, ~130 buckets at the auto Δ).
+grb::Matrix<double> weighted_grid() {
+  EdgeList graph = generate_grid2d(64, 64);
+  graph.normalize();
+  assign_integer_weights(graph, 1, 100, 5);
+  return graph.to_matrix();
+}
+
+// rmat scale 12, unit weights: `social`'s shape, a handful of hops.
+grb::Matrix<double> unit_rmat() {
+  EdgeList graph = generate_rmat({.scale = 12, .edge_factor = 12, .seed = 3});
+  graph.symmetrize();
+  graph.normalize();
+  assign_unit_weights(graph);
+  return graph.to_matrix();
+}
+
+struct RoutedShape {
+  const char* name;
+  grb::Matrix<double> (*make)();
+  sssp::Algorithm pick;
+};
+
+void PrintTo(const RoutedShape& shape, std::ostream* os) { *os << shape.name; }
+
+class AutoRoute : public ::testing::TestWithParam<RoutedShape> {};
+
+// The auto default is the cost model's pick and returns the oracle's bits,
+// on a miss and on a cache hit.
+TEST_P(AutoRoute, PicksByCostAndMatchesDijkstraOnMissAndHit) {
+  const grb::Matrix<double> a = GetParam().make();
+  ServerOptions options;
+  options.num_workers = 1;
+  SsspServer server{grb::Matrix<double>(a), options};
+  EXPECT_EQ(server.default_algorithm(), GetParam().pick);
+  for (const Index source : {Index{0}, a.nrows() / 2 + 7}) {
+    const std::vector<double> oracle = dijkstra(a, source).dist;
+    for (int pass = 0; pass < 2; ++pass) {  // miss, then hit
+      const sssp::QueryResult r = server.wait(server.submit(source));
+      ASSERT_TRUE(r.ok()) << r.error;
+      ASSERT_EQ(r.result.dist.size(), oracle.size());
+      EXPECT_EQ(std::memcmp(r.result.dist.data(), oracle.data(),
+                            oracle.size() * sizeof(double)),
+                0)
+          << "source " << source << (pass == 0 ? " (miss)" : " (hit)");
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.hits, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Serving, AutoRoute,
+    ::testing::Values(
+        RoutedShape{"WeightedGrid", &weighted_grid, sssp::Algorithm::kBuckets},
+        RoutedShape{"UnitRmat", &unit_rmat, sssp::Algorithm::kFused}),
+    [](const auto& param) { return std::string(param.param.name); });
 
 // ---------------------------------------------------------------------------
 // The C surface: DsgServer_*.
