@@ -17,8 +17,8 @@ int plan_load_target(const std::uint8_t* data, std::size_t size) {
   try {
     GraphPlan plan = serving::PlanIo::load_bytes(
         reinterpret_cast<const unsigned char*>(data), size, "<fuzz input>");
-    // Exercise the loaded plan: these walk the adopted CSR and the
-    // installed split, which is where a validation gap would detonate.
+    // Exercise the loaded plan: these walk the adopted CSR and build the
+    // split from it, which is where a validation gap would detonate.
     (void)plan.fingerprint();
     (void)plan.light_heavy();
     (void)plan.stats();

@@ -3,7 +3,7 @@
 // A byte-blind mutator wastes nearly every execution on "bad magic" /
 // "checksum mismatch": the format front-loads cheap gates, so random
 // flips almost never reach the interesting validators (count arithmetic,
-// CSR structure, the light/heavy partition).  This mutator knows the
+// CSR structure, weights).  This mutator knows the
 // layout — seeded in practice from tests/data/diamond.plan — and mutates
 // header fields and payload sections INDEPENDENTLY, then usually
 // re-stamps the FNV checksum so the mutant walks through the gate.
@@ -12,9 +12,9 @@
 // entry + seed reproduces exactly — no global RNG, no libc rand):
 //   - header-field surgery: pick one of the u32/u64/double fields and
 //     rewrite it (zero, max, off-by-one, sign-flip, small delta);
-//   - payload section surgery: pick an 8-byte slot in one of the nine
+//   - payload section surgery: pick an 8-byte slot in one of the three
 //     arrays and rewrite it the same way (corrupting row_ptr monotonicity,
-//     column ranges, weight signs/NaNs, split partition membership);
+//     column ranges, weight signs/NaNs);
 //   - length surgery: grow or shrink the tail (truncation / trailing
 //     garbage paths);
 //   - raw byte flips (small %): keeps the cheap gates themselves covered.
@@ -43,7 +43,7 @@ struct Lcg {
   std::uint64_t below(std::uint64_t n) { return n == 0 ? 0 : next() % n; }
 };
 
-/// Offsets of the mutable scalar fields inside the 112-byte header
+/// Offsets of the mutable scalar fields inside the 96-byte header
 /// (magic and checksum are handled separately).
 constexpr std::size_t kHeaderFieldOffsets[] = {
     8,   // version (u32)
@@ -52,15 +52,16 @@ constexpr std::size_t kHeaderFieldOffsets[] = {
     20,  // value_bits (u32)
     24,  // num_vertices (u64)
     32,  // num_edges (u64)
-    40,  // light_nnz (u64)
-    48,  // heavy_nnz (u64)
-    56,  // delta (double)
-    64,  // delta_was_auto (u64)
-    72,  // max_weight (double)
-    80,  // min_positive_weight (double)
-    88,  // max_out_degree (u64)
-    96,  // avg_out_degree (double)
+    40,  // delta (double)
+    48,  // delta_was_auto (u64)
+    56,  // max_weight (double)
+    64,  // min_positive_weight (double)
+    72,  // max_out_degree (u64)
+    80,  // avg_out_degree (double)
 };
+
+/// The checksum is the header's last field.
+constexpr std::size_t kChecksumOffset = serving::kPlanHeaderBytes - 8;
 
 void mutate_u64_slot(std::uint8_t* slot, Lcg& rng) {
   std::uint64_t v = 0;
@@ -156,7 +157,7 @@ std::size_t plan_mutate(std::uint8_t* data, std::size_t size,
   if (new_size >= serving::kPlanHeaderBytes && rng.below(8) != 0) {
     const std::uint64_t sum = serving::PlanIo::file_checksum(
         reinterpret_cast<const unsigned char*>(data), new_size);
-    std::memcpy(data + 104, &sum, 8);
+    std::memcpy(data + kChecksumOffset, &sum, 8);
   }
   return new_size;
 }

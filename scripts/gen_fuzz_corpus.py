@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Generate the checked-in seed corpora under tests/fuzz_corpus/."""
+"""Generate the checked-in seed corpora under tests/fuzz_corpus/.
+
+Run from anywhere after regenerating tests/data/diamond.plan:
+  python3 scripts/gen_fuzz_corpus.py
+"""
 import struct, os, shutil
 
-REPO = "/root/repo"
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "tests", "data")
 CORPUS = os.path.join(REPO, "tests", "fuzz_corpus")
 
@@ -10,21 +14,26 @@ FNV_BASIS = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 MASK = (1 << 64) - 1
 
+HEADER = 96                # plan format v2
+CHECKSUM = HEADER - 8      # the header's last field
+
 def fnv1a(h, data):
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & MASK
+    """FNV-1a over little-endian 8-byte words, a ragged tail zero-padded."""
+    data = bytes(data) + b"\x00" * (-len(data) % 8)
+    for (word,) in struct.iter_unpack("<Q", data):
+        h = ((h ^ word) * FNV_PRIME) & MASK
     return h
 
 def restamp(img):
-    """Return img with the checksum field (offset 104..112) re-stamped."""
+    """Return img with the checksum field re-stamped."""
     img = bytearray(img)
-    zeroed = bytes(img[:104]) + b"\x00" * 8 + bytes(img[112:])
+    zeroed = bytes(img[:CHECKSUM]) + b"\x00" * 8 + bytes(img[HEADER:])
     total = fnv1a(FNV_BASIS, zeroed)
-    img[104:112] = struct.pack("<Q", total)
+    img[CHECKSUM:HEADER] = struct.pack("<Q", total)
     return bytes(img)
 
 plan = open(os.path.join(DATA, "diamond.plan"), "rb").read()
-assert len(plan) == 576, len(plan)
+assert len(plan) == 304, len(plan)
 # Sanity: the golden file's checksum must round-trip through our FNV.
 assert restamp(plan) == plan, "FNV mismatch vs golden plan"
 
@@ -59,18 +68,18 @@ stale = bytearray(plan); stale[300] ^= 0x40
 w("plan_load", "stale_checksum.bin", bytes(stale))
 # Forged checksum + structural corruption: restamped so the corruption
 # reaches the structural validators.
-w("plan_load", "nan_delta.bin", patched(plan, 56, "<d", float("nan")))
-w("plan_load", "negative_delta.bin", patched(plan, 56, "<d", -1.0))
+w("plan_load", "nan_delta.bin", patched(plan, 40, "<d", float("nan")))
+w("plan_load", "negative_delta.bin", patched(plan, 40, "<d", -1.0))
 # row_ptr rise-then-fall: first row_ptr entry after header; row_ptr[1] at
-# header+8. diamond has n=5, e=10: row_ptr is 6 u64s at offset 112.
-w("plan_load", "rowptr_risefall.bin", patched(plan, 112 + 8, "<Q", 1 << 20))
-w("plan_load", "rowptr_nonmonotone.bin", patched(plan, 112 + 16, "<Q", 0))
-# col_ind out of range: col_ind starts at 112 + 6*8 = 160.
-w("plan_load", "colind_oob.bin", patched(plan, 160, "<Q", 1 << 30))
-# negative weight: val starts at 160 + 10*8 = 240.
-w("plan_load", "negative_weight.bin", patched(plan, 240, "<d", -2.0))
-w("plan_load", "nan_weight.bin", patched(plan, 240, "<d", float("nan")))
-w("plan_load", "inf_weight.bin", patched(plan, 240, "<d", float("inf")))
+# header+8. diamond has n=5, e=10: row_ptr is 6 u64s at offset 96.
+w("plan_load", "rowptr_risefall.bin", patched(plan, HEADER + 8, "<Q", 1 << 20))
+w("plan_load", "rowptr_nonmonotone.bin", patched(plan, HEADER + 16, "<Q", 0))
+# col_ind out of range: col_ind starts at 96 + 6*8 = 144.
+w("plan_load", "colind_oob.bin", patched(plan, 144, "<Q", 1 << 30))
+# negative weight: val starts at 144 + 10*8 = 224.
+w("plan_load", "negative_weight.bin", patched(plan, 224, "<d", -2.0))
+w("plan_load", "nan_weight.bin", patched(plan, 224, "<d", float("nan")))
+w("plan_load", "inf_weight.bin", patched(plan, 224, "<d", float("inf")))
 
 # --- matrix_market ------------------------------------------------------
 shutil.copy(os.path.join(DATA, "diamond.mtx"),
@@ -126,6 +135,7 @@ w("capi_server", "capi_rejected.bin", prefix(0, 4, 1) + plan)    # alg 3 kCapi
 w("capi_server", "bad_alg.bin", prefix(1, 11, 1) + plan)         # alg 10 invalid
 w("capi_server", "oob_source.bin", prefix(4096, 0, 2) + plan)
 w("capi_server", "corrupt_plan.bin", prefix(0, 0, 1) + bytes(stale))
-w("capi_server", "truncated_plan.bin", prefix(0, 0, 1) + plan[:100])
+# Cut inside the 96-byte header.
+w("capi_server", "truncated_plan.bin", prefix(0, 0, 1) + plan[:80])
 w("capi_server", "prefix_only.bin", prefix(0, 0, 7))
 w("capi_server", "short.bin", b"\x01\x02")

@@ -369,10 +369,11 @@ GrB_Info DsgServer_new(DsgServer* server, GrB_Matrix a,
                        GrB_Index cache_capacity);
 
 /* Builds a server from a plan file written by DsgServer_save_plan (or
- * GraphPlan::save): the CSR, statistics, Δ and the materialized
- * light/heavy split load without re-scanning the graph — the sub-second
- * cold-start path.  Errors: GrB_INVALID_VALUE (missing/truncated/corrupt
- * file, wrong version or endianness) plus DsgServer_new's codes. */
+ * GraphPlan::save): the CSR, statistics and Δ load without re-validating
+ * the graph, and the light/heavy split is built from the loaded CSR only
+ * if the chosen algorithm reads it — the sub-second cold-start path.
+ * Errors: GrB_INVALID_VALUE (missing/truncated/corrupt file, wrong
+ * version or endianness) plus DsgServer_new's codes. */
 GrB_Info DsgServer_new_from_file(DsgServer* server, const char* path,
                                  DsgSsspAlgorithm algorithm,
                                  int32_t num_workers,

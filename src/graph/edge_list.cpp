@@ -62,18 +62,13 @@ Index EdgeList::max_vertex_plus_one() const {
 }
 
 grb::Matrix<double> EdgeList::to_matrix() const {
-  std::vector<Index> rows, cols;
-  std::vector<double> vals;
-  rows.reserve(edges_.size());
-  cols.reserve(edges_.size());
-  vals.reserve(edges_.size());
-  for (const Edge& e : edges_) {
-    rows.push_back(e.src);
-    cols.push_back(e.dst);
-    vals.push_back(e.weight);
-  }
-  return grb::Matrix<double>::build(num_vertices_, num_vertices_, rows, cols,
-                                    vals, grb::Min<double>{});
+  return grb::Matrix<double>::build_from(
+      num_vertices_, num_vertices_, edges_.size(),
+      [&](std::size_t k) {
+        const Edge& e = edges_[k];
+        return std::tuple<Index, Index, double>{e.src, e.dst, e.weight};
+      },
+      grb::Min<double>{});
 }
 
 EdgeList EdgeList::from_matrix(const grb::Matrix<double>& a) {

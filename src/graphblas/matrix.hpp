@@ -86,35 +86,48 @@ class Matrix {
     if (rows.size() != cols.size() || rows.size() != values.size()) {
       throw InvalidValue("Matrix::build: triple count mismatch");
     }
-    for (std::size_t k = 0; k < rows.size(); ++k) {
-      detail::check_index(rows[k], nrows, "Matrix::build row");
-      detail::check_index(cols[k], ncols, "Matrix::build col");
-    }
-    std::vector<std::size_t> order(rows.size());
-    for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return std::tie(rows[a], cols[a]) <
-                              std::tie(rows[b], cols[b]);
-                     });
+    return build_from(
+        nrows, ncols, rows.size(),
+        [&](std::size_t k) {
+          return std::tuple<Index, Index, T>{rows[k], cols[k], values[k]};
+        },
+        dup);
+  }
 
+  /// The one COO -> CSR builder behind build(): `triple(k)` returns the
+  /// k-th (row, col, value), so callers that hold edges in their own
+  /// layout feed them in without first copying them into three arrays.
+  /// A stable counting sort by row, O(nnz + nrows): one pass checks every
+  /// index and counts the rows, one pass scatters in input order.  Only
+  /// rows whose columns arrive out of order are then stable-sorted, and
+  /// duplicates combine with `dup` in input order, as if the triples had
+  /// been stable-sorted by (row, col) and folded left to right.
+  template <typename TripleAt, typename DupOp = Second<T>>
+  static Matrix build_from(Index nrows, Index ncols, std::size_t count,
+                           TripleAt&& triple, DupOp dup = DupOp{}) {
     Matrix m(nrows, ncols);
-    m.col_ind_.reserve(rows.size());
-    m.val_.reserve(rows.size());
-    Index prev_r = all_indices, prev_c = all_indices;
-    for (std::size_t k : order) {
-      const Index r = rows[k], c = cols[k];
-      if (!m.col_ind_.empty() && r == prev_r && c == prev_c) {
-        m.val_.back() = dup(m.val_.back(), values[k]);
-      } else {
-        m.col_ind_.push_back(c);
-        m.val_.push_back(values[k]);
-        ++m.row_ptr_[r + 1];
-        prev_r = r;
-        prev_c = c;
-      }
+    std::vector<Index>& ptr = m.row_ptr_;
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto [r, c, v] = triple(k);
+      detail::check_index(r, nrows, "Matrix::build row");
+      detail::check_index(c, ncols, "Matrix::build col");
+      ++ptr[r + 1];
     }
-    for (Index r = 0; r < nrows; ++r) m.row_ptr_[r + 1] += m.row_ptr_[r];
+    // ptr[r] becomes row r's write cursor; after the scatter it has
+    // advanced to row r + 1's start, so shifting it up one slot restores
+    // the offsets without a separate cursor array.
+    for (Index r = 0; r < nrows; ++r) ptr[r + 1] += ptr[r];
+    m.col_ind_.resize(count);
+    m.val_.resize(count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const auto [r, c, v] = triple(k);
+      const Index slot = ptr[r]++;
+      m.col_ind_[slot] = c;
+      m.val_[slot] = v;
+    }
+    for (Index r = nrows; r > 0; --r) ptr[r] = ptr[r - 1];
+    ptr[0] = 0;
+    m.sort_and_combine_rows(dup);
     return m;
   }
 
@@ -295,6 +308,47 @@ class Matrix {
   }
 
  private:
+  /// build_from's last pass: stable-sorts each out-of-order row by column
+  /// and folds equal columns with `dup`, compacting in place (the write
+  /// cursor never passes the read cursor).
+  template <typename DupOp>
+  void sort_and_combine_rows(DupOp dup) {
+    std::vector<std::pair<Index, storage_type>> row;
+    Index write = 0;
+    Index read = 0;
+    for (Index r = 0; r < nrows_; ++r) {
+      const Index end = row_ptr_[r + 1];
+      if (!std::is_sorted(col_ind_.begin() + read, col_ind_.begin() + end)) {
+        row.clear();
+        for (Index k = read; k < end; ++k) {
+          row.emplace_back(col_ind_[k], val_[k]);
+        }
+        std::stable_sort(row.begin(), row.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first < b.first;
+                         });
+        for (Index k = read; k < end; ++k) {
+          col_ind_[k] = row[k - read].first;
+          val_[k] = row[k - read].second;
+        }
+      }
+      const Index row_start = write;
+      for (Index k = read; k < end; ++k) {
+        if (write > row_start && col_ind_[write - 1] == col_ind_[k]) {
+          val_[write - 1] = dup(val_[write - 1], val_[k]);
+        } else {
+          col_ind_[write] = col_ind_[k];
+          val_[write] = val_[k];
+          ++write;
+        }
+      }
+      row_ptr_[r + 1] = write;
+      read = end;
+    }
+    col_ind_.resize(write);
+    val_.resize(write);
+  }
+
   void invalidate_transpose() { set_transpose_snapshot(nullptr); }
 
   std::shared_ptr<const Matrix> transpose_snapshot() const {

@@ -30,7 +30,7 @@ namespace {
 constexpr char kMagic[8] = {'D', 'S', 'G', 'P', 'L', 'A', 'N', '\n'};
 constexpr std::uint32_t kEndianMarker = 0x01020304u;
 
-/// Fixed 112-byte header.  Every field sits at a naturally aligned offset
+/// Fixed 96-byte header.  Every field sits at a naturally aligned offset
 /// and the sizes sum exactly to sizeof, so there is no padding to leak
 /// uninitialized bytes into the checksum or the file.
 struct PlanFileHeader {
@@ -41,41 +41,50 @@ struct PlanFileHeader {
   std::uint32_t value_bits;             // 20: 64 (double)
   std::uint64_t num_vertices;           // 24
   std::uint64_t num_edges;              // 32
-  std::uint64_t light_nnz;              // 40
-  std::uint64_t heavy_nnz;              // 48
-  double delta;                         // 56
-  std::uint64_t delta_was_auto;         // 64: 0/1
-  double max_weight;                    // 72
-  double min_positive_weight;           // 80
-  std::uint64_t max_out_degree;         // 88
-  double avg_out_degree;                // 96
-  std::uint64_t checksum;               // 104: FNV-1a, checksum field zeroed
+  double delta;                         // 40
+  std::uint64_t delta_was_auto;         // 48: 0/1
+  double max_weight;                    // 56
+  double min_positive_weight;           // 64
+  std::uint64_t max_out_degree;         // 72
+  double avg_out_degree;                // 80
+  std::uint64_t checksum;               // 88: FNV-1a, checksum field zeroed
 };
 static_assert(sizeof(PlanFileHeader) == kPlanHeaderBytes,
               "header layout drifted");
 static_assert(sizeof(grb::Index) == 8 && sizeof(double) == 8,
               "plan format assumes 64-bit indices and values");
 
-/// FNV-1a over a byte range, resumable via the running hash.
+/// FNV-1a over 8-byte words, resumable via the running hash.  Every
+/// header field and payload element is 8 bytes wide (the u32 header
+/// fields come in pairs), so a word step reads whole elements, one
+/// multiply per 8 bytes instead of per byte.  Each step h -> (h ^ w) * p
+/// is a bijection of the word for a fixed running hash (xor, then a
+/// multiply by an odd constant mod 2^64), so changing any one word always
+/// changes the sum.  A ragged tail (only file_checksum over an arbitrary
+/// buffer has one) is zero-padded into a last word.
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+  constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ p[i]) * 0x100000001b3ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, 8);
+    h = (h ^ word) * kFnvPrime;
+  }
+  if (i < size) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, size - i);
+    h = (h ^ word) * kFnvPrime;
   }
   return h;
 }
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
-template <typename T>
-std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
-  return fnv1a(h, v.data(), v.size() * sizeof(T));
-}
-
 /// The checksum input: the header with its checksum field zeroed, then
-/// every payload section in file order.  Catches single-bit corruption in
-/// either region (size-class errors are caught earlier by the exact
-/// file-size check).
+/// every payload section in file order.  Catches any single-word
+/// corruption in either region (size-class errors are caught earlier by
+/// the exact file-size check).
 std::uint64_t checksum_file(PlanFileHeader header,
                             const std::vector<const void*>& sections,
                             const std::vector<std::size_t>& sizes) {
@@ -92,14 +101,9 @@ std::uint64_t checksum_file(PlanFileHeader header,
 }
 
 void write_bytes(std::ofstream& os, const void* data, std::size_t size) {
-  if (size == 0) return;  // empty split sections pass a null pointer
+  if (size == 0) return;  // an edgeless graph's sections are null pointers
   os.write(static_cast<const char*>(data),
            static_cast<std::streamsize>(size));
-}
-
-template <typename T>
-void write_vec(std::ofstream& os, const std::vector<T>& v) {
-  write_bytes(os, v.data(), v.size() * sizeof(T));
 }
 
 /// Expected payload byte count for a header, or false when the sum does
@@ -115,9 +119,7 @@ bool checked_payload_bytes(const PlanFileHeader& h, std::uint64_t& out) {
     return false;
   }
   const std::uint64_t element_counts[] = {
-      ptr_len,     h.num_edges, h.num_edges,  // row_ptr, col_ind, val
-      ptr_len,     h.light_nnz, h.light_nnz,  // light_ptr, light_ind/val
-      ptr_len,     h.heavy_nnz, h.heavy_nnz,  // heavy_ptr, heavy_ind/val
+      ptr_len, h.num_edges, h.num_edges,  // row_ptr, col_ind, val
   };
   for (const std::uint64_t count : element_counts) {
     std::uint64_t bytes = 0;
@@ -131,9 +133,8 @@ bool checked_payload_bytes(const PlanFileHeader& h, std::uint64_t& out) {
 }
 
 /// Copies the next `count` elements out of the mapped/loaded byte range.
-/// The empty case is skipped: an all-light or all-heavy split has
-/// zero-length sections, and memcpy's arguments must be non-null even
-/// for a zero count.
+/// The empty case is skipped: an edgeless graph has zero-length sections,
+/// and memcpy's arguments must be non-null even for a zero count.
 template <typename T>
 std::vector<T> take(const unsigned char*& cursor, std::uint64_t count) {
   std::vector<T> out(count);
@@ -202,9 +203,6 @@ class FileBytes {
 
 void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   const grb::Matrix<double>& a = plan.matrix();
-  // Force the split now: the file pins Δ, so a loaded plan must start with
-  // the split already materialized (that is the cold-start win).
-  const detail::LightHeavySplit& split = plan.light_heavy();
   const PlanStats& stats = plan.stats();
 
   PlanFileHeader header = {};
@@ -215,8 +213,6 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   header.value_bits = 64;
   header.num_vertices = a.nrows();
   header.num_edges = a.nvals();
-  header.light_nnz = split.light_ind.size();
-  header.heavy_nnz = split.heavy_ind.size();
   header.delta = plan.delta();
   header.delta_was_auto = plan.delta_was_auto() ? 1 : 0;
   header.max_weight = stats.max_weight;
@@ -224,20 +220,12 @@ void PlanIo::save(const GraphPlan& plan, const std::string& path) {
   header.max_out_degree = stats.max_out_degree;
   header.avg_out_degree = stats.avg_out_degree;
 
-  // Sections in file order, every one a span over matrix storage: A's own
-  // arrays, then those of the plan's A_L and A_H.
+  // Sections in file order, every one a span over A's storage.
   const std::vector<const void*> sections = {
-      a.row_ptr().data(),          a.col_ind().data(),
-      a.raw_values().data(),       split.light_ptr.data(),
-      split.light_ind.data(),      split.light_val.data(),
-      split.heavy_ptr.data(),      split.heavy_ind.data(),
-      split.heavy_val.data()};
-  const std::vector<std::size_t> sizes = {
-      a.row_ptr().size_bytes(),          a.col_ind().size_bytes(),
-      a.raw_values().size_bytes(),       split.light_ptr.size_bytes(),
-      split.light_ind.size_bytes(),      split.light_val.size_bytes(),
-      split.heavy_ptr.size_bytes(),      split.heavy_ind.size_bytes(),
-      split.heavy_val.size_bytes()};
+      a.row_ptr().data(), a.col_ind().data(), a.raw_values().data()};
+  const std::vector<std::size_t> sizes = {a.row_ptr().size_bytes(),
+                                          a.col_ind().size_bytes(),
+                                          a.raw_values().size_bytes()};
   header.checksum = checksum_file(header, sections, sizes);
 
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
@@ -325,18 +313,12 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
   auto row_ptr = take<grb::Index>(cursor, n + 1);
   auto col_ind = take<grb::Index>(cursor, header.num_edges);
   auto val = take<double>(cursor, header.num_edges);
-  auto light_ptr = take<grb::Index>(cursor, n + 1);
-  auto light_ind = take<grb::Index>(cursor, header.light_nnz);
-  auto light_val = take<double>(cursor, header.light_nnz);
-  auto heavy_ptr = take<grb::Index>(cursor, n + 1);
-  auto heavy_ind = take<grb::Index>(cursor, header.heavy_nnz);
-  auto heavy_val = take<double>(cursor, header.heavy_nnz);
 
   // The checksum is forgeable (FNV-1a, and the format is documented), so
   // nothing semantic is trusted: weights must be finite and non-negative
   // (a NaN or negative weight would silently corrupt — or hang —
-  // delta-stepping), and the CSR/split structure is fully re-validated
-  // below before the plan is handed out.
+  // delta-stepping), and the CSR structure is fully re-validated below
+  // before the plan is handed out.
   for (const double w : val) {
     if (!(std::isfinite(w) && w >= 0.0)) {
       reject(origin, "non-finite or negative edge weight");
@@ -353,8 +335,10 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
 
   // Restored construction skips re-deriving the stats scalars (the one
   // O(|E|) scan a warm start amortizes) but NOT the structural audit:
-  // check_invariants re-validates the adjacency CSR and the light/heavy
-  // partition at Δ whether or not DSG_AUDIT_INVARIANTS is compiled in.
+  // check_invariants re-validates the adjacency CSR whether or not
+  // DSG_AUDIT_INVARIANTS is compiled in.  The light/heavy split is built
+  // from the validated A on first use, as for a fresh plan, so a plan
+  // routed to a core that never reads it never pays for it.
   // AuditError normally means "library state corrupt — do not catch", but
   // here the corrupt state came straight from untrusted input, which is
   // precisely a bad-input rejection.
@@ -364,15 +348,6 @@ GraphPlan PlanIo::load_bytes(const unsigned char* data, std::size_t size,
     GraphPlan plan(GraphPlan::Restored{},
                    std::make_shared<const grb::Matrix<double>>(std::move(a)),
                    header.delta, header.delta_was_auto != 0, stats);
-    // A_L and A_H adopt their sections; check_invariants below audits the
-    // view that points into them.
-    grb::Matrix<double> light(n, n);
-    light.adopt(std::move(light_ptr), std::move(light_ind),
-                std::move(light_val));
-    grb::Matrix<double> heavy(n, n);
-    heavy.adopt(std::move(heavy_ptr), std::move(heavy_ind),
-                std::move(heavy_val));
-    plan.install_split(std::move(light), std::move(heavy));
     plan.check_invariants();
     return plan;
   } catch (const grb::audit::AuditError& e) {

@@ -2,25 +2,27 @@
 // cold-start half of the serving layer.
 //
 // A plan file carries everything a server needs to answer queries without
-// re-scanning the graph: the adjacency CSR, the construction-time weight/
-// degree statistics, the pinned Δ, and the light/heavy split materialized
-// at that Δ.  Loading is therefore O(bytes) — one checksum pass plus
-// memcpy into the owning vectors — instead of the O(|E|) validation +
-// split scans a fresh GraphPlan pays.
+// re-validating the graph: the adjacency CSR of A, the construction-time
+// weight/degree statistics and the pinned Δ.  It stores A once and nothing
+// derived from it: the light/heavy split is one count pass (and, for a
+// mixed graph, one fill pass) over A, which a loaded plan pays lazily on
+// first use like a fresh plan, so a plan routed to a core that reads no
+// split (Dijkstra, Bellman-Ford) never builds one.  Loading is O(bytes):
+// one word-wise checksum pass, memcpy into the owning vectors, and the
+// weight and CSR audits — instead of the O(|E|) validation scan a fresh
+// GraphPlan pays.
 //
 // File layout (all scalars little-or-big per the writing host; the header
 // carries an endianness marker so a foreign-endian reader rejects cleanly
 // instead of decoding garbage):
 //
-//   [ 112-byte header, 8-byte aligned ]
+//   [ 96-byte header, 8-byte aligned ]
 //     magic "DSGPLAN\n", format version, endian marker 0x01020304,
-//     index/value widths (64/64), counts (|V|, |E|, light nnz, heavy nnz),
-//     Δ + delta_was_auto, the PlanStats scalars, and an FNV-1a checksum
-//     over the rest of the header and the whole payload.
-//   [ payload: nine 8-byte-aligned arrays, no padding between them ]
-//     row_ptr (|V|+1), col_ind (|E|), val (|E|),
-//     light_ptr (|V|+1), light_ind, light_val,
-//     heavy_ptr (|V|+1), heavy_ind, heavy_val.
+//     index/value widths (64/64), counts (|V|, |E|), Δ + delta_was_auto,
+//     the PlanStats scalars, and an FNV-1a checksum over the rest of the
+//     header and the whole payload, taken 8 bytes at a time.
+//   [ payload: three 8-byte-aligned arrays, no padding between them ]
+//     row_ptr (|V|+1), col_ind (|E|), val (|E|).
 //
 // The header fully determines the file size, so truncation is detected
 // before any payload is touched; the checksum catches bit corruption in
@@ -32,10 +34,11 @@
 // combined with overflow-checked arithmetic and cross-checked against the
 // actual file size BEFORE any allocation, so a forged header can neither
 // overflow the size computation into a colliding total nor commit memory
-// the file cannot back.  The checksum is FNV-1a — fast, not
-// cryptographic, and trivially forgeable — so after extraction the loader
-// always runs the full structural validation (CSR shape, light/heavy
-// partition, finite non-negative weights, Δ > 0) and rejects with a named
+// the file cannot back.  The checksum is FNV-1a over 8-byte words — fast,
+// not cryptographic, and trivially forgeable; each word step is a
+// bijection, so any single-word corruption still changes the sum.  After
+// extraction the loader always runs the full structural validation (CSR
+// shape, finite non-negative weights, Δ > 0) and rejects with a named
 // grb::InvalidValue; the checksum only screens accidental corruption.
 #pragma once
 
@@ -48,11 +51,11 @@ namespace dsg::serving {
 
 /// On-disk format version.  Bump on ANY layout change (readers reject
 /// every other version) and regenerate tests/data/*.plan goldens.
-inline constexpr std::uint32_t kPlanFormatVersion = 1;
+inline constexpr std::uint32_t kPlanFormatVersion = 2;
 
 /// Fixed header size in bytes (kept in sync with the PlanFileHeader
 /// layout in plan_io.cpp by a static_assert there).
-inline constexpr std::size_t kPlanHeaderBytes = 112;
+inline constexpr std::size_t kPlanHeaderBytes = 96;
 
 /// The saver/loader behind GraphPlan::save / GraphPlan::load.  A class
 /// rather than free functions because loading goes through GraphPlan's
@@ -74,8 +77,8 @@ class PlanIo {
                               const std::string& origin);
 
   /// The checksum a well-formed file image of these bytes must carry
-  /// (FNV-1a over the header with its checksum field zeroed, then the
-  /// rest).  Exposed for tests and the structure-aware fuzz mutator,
+  /// (word-wise FNV-1a over the header with its checksum field zeroed,
+  /// then the rest).  Exposed for tests and the structure-aware fuzz mutator,
   /// which re-stamp the field after editing header/payload bytes so
   /// mutations reach the validators behind the checksum gate.  Requires
   /// size >= kPlanHeaderBytes.

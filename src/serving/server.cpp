@@ -14,8 +14,9 @@ namespace {
 /// Pool-safety gate: workers run algorithm cores concurrently on separate
 /// contexts, which every variant supports except kCapi (the paper
 /// listing's file-scope operator globals are process-wide).  The
-/// internally-threaded variants (kOpenmp, kDeltaSteppingAsync) are legal
-/// but oversubscribe a busy pool; callers opt into them explicitly.
+/// internally-threaded variants (kOpenmp, kDeltaSteppingAsync) are legal;
+/// run_query pins them to one thread, so they never oversubscribe the
+/// pool.
 void require_pool_safe(sssp::Algorithm algorithm) {
   sssp::algorithm_info(algorithm);  // validates the enum value
   if (algorithm == sssp::Algorithm::kCapi) {
@@ -174,6 +175,10 @@ sssp::QueryResult SsspServer::run_query(const Query& query,
     }
     ExecOptions exec;
     exec.profile = options_.profile;
+    // The worker pool is the parallelism: a threaded core runs on its
+    // worker's thread alone instead of nesting an OpenMP team (or async
+    // threads) inside every worker.
+    exec.num_threads = 1;
     exec.control = query.control;
     out.result = info.run(*plan_, ctx, query.source, exec);
     if (use_cache && out.result.status == SsspStatus::kComplete) {

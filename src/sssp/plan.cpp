@@ -22,23 +22,26 @@ double seconds_since(Clock::time_point start) {
 // type-keyed cache can distinguish the roles.
 
 /// The one light/heavy split: A_L and A_H, plus the raw CSR view over
-/// them that light_heavy() hands out.  The slot lives behind a shared_ptr
-/// and is never moved, so the view's spans stay valid for the plan's life
-/// (moving the plan moves only the pointer to the cache).
+/// them that light_heavy() hands out.  When one half holds every edge,
+/// that half is the plan's A itself (shared, not copied) and the other is
+/// an empty n x n matrix.  The slot lives behind a shared_ptr and is never
+/// moved, so the view's spans stay valid for the plan's life (moving the
+/// plan moves only the pointer to the cache).
 struct SplitSlot {
-  grb::Matrix<double> light;
-  grb::Matrix<double> heavy;
+  std::shared_ptr<const grb::Matrix<double>> light;
+  std::shared_ptr<const grb::Matrix<double>> heavy;
   detail::LightHeavySplit view;
 };
 
-std::shared_ptr<SplitSlot> make_split_slot(grb::Matrix<double> light,
-                                           grb::Matrix<double> heavy) {
+std::shared_ptr<SplitSlot> make_split_slot(
+    std::shared_ptr<const grb::Matrix<double>> light,
+    std::shared_ptr<const grb::Matrix<double>> heavy) {
   auto slot = std::make_shared<SplitSlot>();
   slot->light = std::move(light);
   slot->heavy = std::move(heavy);
-  slot->view = {slot->light.row_ptr(), slot->light.col_ind(),
-                slot->light.raw_values(), slot->heavy.row_ptr(),
-                slot->heavy.col_ind(), slot->heavy.raw_values()};
+  slot->view = {slot->light->row_ptr(), slot->light->col_ind(),
+                slot->light->raw_values(), slot->heavy->row_ptr(),
+                slot->heavy->col_ind(), slot->heavy->raw_values()};
   return slot;
 }
 
@@ -62,9 +65,13 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 /// A_L = A ∘ (0 < A <= Δ) and A_H = A ∘ (A > Δ) (Fig. 2 lines 15-21):
 /// one pass counts each row's light/heavy entries, one pass fills them,
 /// and the two matrices adopt the arrays.  Zero-weight edges go to
-/// neither half.
-std::shared_ptr<SplitSlot> split_light_heavy(const grb::Matrix<double>& a,
-                                             double delta) {
+/// neither half.  When the count says one half holds every edge (unit
+/// weights at Δ = 1, Fig. 3's setting, or Δ below every weight), that
+/// half is A and the fill pass is skipped.
+std::shared_ptr<SplitSlot> split_light_heavy(
+    const std::shared_ptr<const grb::Matrix<double>>& shared_a,
+    double delta) {
+  const grb::Matrix<double>& a = *shared_a;
   const Index n = a.nrows();
   std::vector<Index> light_ptr(n + 1, 0);
   std::vector<Index> heavy_ptr(n + 1, 0);
@@ -86,6 +93,12 @@ std::shared_ptr<SplitSlot> split_light_heavy(const grb::Matrix<double>& a,
   for (Index r = 0; r < n; ++r) {
     light_ptr[r + 1] += light_ptr[r];
     heavy_ptr[r + 1] += heavy_ptr[r];
+  }
+  const bool all_light = light_ptr[n] == a.nvals();
+  if (all_light || heavy_ptr[n] == a.nvals()) {
+    auto empty = std::make_shared<const grb::Matrix<double>>(n, n);
+    return all_light ? make_split_slot(shared_a, std::move(empty))
+                     : make_split_slot(std::move(empty), shared_a);
   }
   std::vector<Index> light_ind(light_ptr[n]);
   std::vector<double> light_val(light_ptr[n]);
@@ -114,12 +127,12 @@ std::shared_ptr<SplitSlot> split_light_heavy(const grb::Matrix<double>& a,
       }
     }
   }
-  grb::Matrix<double> light(n, n);
-  light.adopt(std::move(light_ptr), std::move(light_ind),
-              std::move(light_val));
-  grb::Matrix<double> heavy(n, n);
-  heavy.adopt(std::move(heavy_ptr), std::move(heavy_ind),
-              std::move(heavy_val));
+  auto light = std::make_shared<grb::Matrix<double>>(n, n);
+  light->adopt(std::move(light_ptr), std::move(light_ind),
+               std::move(light_val));
+  auto heavy = std::make_shared<grb::Matrix<double>>(n, n);
+  heavy->adopt(std::move(heavy_ptr), std::move(heavy_ind),
+               std::move(heavy_val));
   return make_split_slot(std::move(light), std::move(heavy));
 }
 
@@ -145,17 +158,6 @@ GraphPlan::GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
 #ifdef DSG_AUDIT_INVARIANTS
   check_invariants();
 #endif
-}
-
-void GraphPlan::install_split(grb::Matrix<double> light,
-                              grb::Matrix<double> heavy) const {
-  derived<SplitSlot>([&] {
-    auto slot = make_split_slot(std::move(light), std::move(heavy));
-#ifdef DSG_AUDIT_INVARIANTS
-    audit_split(slot->view);
-#endif
-    return slot;
-  });
 }
 
 std::uint64_t GraphPlan::fingerprint() const {
@@ -241,7 +243,7 @@ double GraphPlan::auto_delta(const PlanStats& stats) {
 
 const detail::LightHeavySplit& GraphPlan::light_heavy() const {
   return derived<SplitSlot>([&] {
-           auto slot = split_light_heavy(*a_, delta_);
+           auto slot = split_light_heavy(a_, delta_);
 #ifdef DSG_AUDIT_INVARIANTS
            audit_split(slot->view);
 #endif
@@ -252,12 +254,12 @@ const detail::LightHeavySplit& GraphPlan::light_heavy() const {
 
 const grb::Matrix<double>& GraphPlan::light_matrix() const {
   light_heavy();  // materializes the one split
-  return peek_derived<SplitSlot>()->light;
+  return *peek_derived<SplitSlot>()->light;
 }
 
 const grb::Matrix<double>& GraphPlan::heavy_matrix() const {
   light_heavy();
-  return peek_derived<SplitSlot>()->heavy;
+  return *peek_derived<SplitSlot>()->heavy;
 }
 
 void GraphPlan::check_invariants() const {

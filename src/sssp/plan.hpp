@@ -47,9 +47,10 @@ namespace detail {
 /// Raw CSR view of the plan's A_L / A_H, for the fused, OpenMP and bucket
 /// variants.  The spans point into the two grb::Matrix objects that
 /// light_matrix() / heavy_matrix() return, so there is one copy of the
-/// split.  Building it is one count pass and one fill pass over A: the
-/// "matrix filtering" that costs 35-40% of fused runtime per Sec. VI-C —
-/// exactly the work a GraphPlan amortizes across queries.
+/// split; when one half holds every edge, that half is A itself and the
+/// split costs no copy at all.  Building it is one count pass and one fill
+/// pass over A: the "matrix filtering" that costs 35-40% of fused runtime
+/// per Sec. VI-C — exactly the work a GraphPlan amortizes across queries.
 struct LightHeavySplit {
   std::span<const Index> light_ptr, light_ind;
   std::span<const double> light_val;
@@ -128,7 +129,9 @@ class GraphPlan {
 
   /// The same split — the same storage — as the grb matrices A_L / A_H
   /// (GraphBLAS variants).  Materializes it on first use, like
-  /// light_heavy().
+  /// light_heavy().  When every edge is light (every edge heavy),
+  /// light_matrix() (heavy_matrix()) is matrix() and the other half is an
+  /// empty n x n matrix.
   const grb::Matrix<double>& light_matrix() const;
   const grb::Matrix<double>& heavy_matrix() const;
 
@@ -137,12 +140,12 @@ class GraphPlan {
   /// per-query caller used to pay on every call.
   double setup_seconds() const;
 
-  /// Version-stamped binary persistence (CSR + stats + the light/heavy
-  /// split materialized at this plan's pinned Δ).  Implemented by the
-  /// serving layer (src/serving/plan_io.cpp, the dsg_serving library —
-  /// link it to use these); docs/ARCHITECTURE.md "Serving layer" specifies
-  /// the file format.  save() forces the split so a loaded plan starts
-  /// warm; load() verifies magic/version/endianness/checksum and throws
+  /// Version-stamped binary persistence (the CSR of A, the stats and the
+  /// pinned Δ).  Implemented by the serving layer
+  /// (src/serving/plan_io.cpp, the dsg_serving library — link it to use
+  /// these); docs/ARCHITECTURE.md "Serving layer" specifies the file
+  /// format.  A loaded plan builds its split lazily, like a fresh one;
+  /// load() verifies magic/version/endianness/checksum and throws
   /// grb::InvalidValue on any mismatch.
   void save(const std::string& path) const;
   static GraphPlan load(const std::string& path);
@@ -197,11 +200,6 @@ class GraphPlan {
   struct Restored {};
   GraphPlan(Restored, std::shared_ptr<const grb::Matrix<double>> a,
             double delta, bool delta_was_auto, const PlanStats& stats);
-
-  /// Installs a pre-built A_L / A_H into the lazy cache (the loader's way
-  /// to hand over the materialized split from the file).
-  void install_split(grb::Matrix<double> light,
-                     grb::Matrix<double> heavy) const;
 
   /// Audits one materialized light/heavy split against the matrix and Δ.
   void audit_split(const detail::LightHeavySplit& s) const;

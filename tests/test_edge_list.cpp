@@ -2,6 +2,11 @@
 // round trips.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "graph/edge_list.hpp"
 
 namespace {
@@ -81,6 +86,39 @@ TEST(EdgeList, ToMatrixDuplicatesKeepMin) {
   g.add_edge(0, 1, 2.0);
   auto a = g.to_matrix();
   EXPECT_DOUBLE_EQ(*a.extract_element(0, 1), 2.0);
+}
+
+// to_matrix feeds its edges straight into the CSR builder; the result
+// must be bit for bit what Matrix::build makes of the same triples
+// (duplicates and signed-zero ties included, combined by min).
+TEST(EdgeList, ToMatrixEqualsBuildOverTheSameTriples) {
+  std::mt19937_64 rng(7);
+  EdgeList g(30);
+  const double pool[] = {0.0, -0.0, 1.0, 3.5, 2.0};
+  for (int k = 0; k < 600; ++k) {
+    g.add_edge(rng() % 30, rng() % 30, pool[rng() % std::size(pool)]);
+  }
+  std::vector<Index> rows, cols;
+  std::vector<double> vals;
+  for (const dsg::Edge& e : g.edges()) {
+    rows.push_back(e.src);
+    cols.push_back(e.dst);
+    vals.push_back(e.weight);
+  }
+  const auto a = g.to_matrix();
+  const auto b = grb::Matrix<double>::build(30, 30, rows, cols, vals,
+                                            grb::Min<double>{});
+  ASSERT_EQ(a, b);
+  for (Index k = 0; k < a.nvals(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.raw_values()[k]),
+              std::bit_cast<std::uint64_t>(b.raw_values()[k]))
+        << "entry " << k;
+  }
+}
+
+TEST(EdgeList, ToMatrixRejectsOutOfRangeEndpoint) {
+  const EdgeList g(3, {{0, 1, 1.0}, {1, 5, 1.0}});
+  EXPECT_THROW(g.to_matrix(), grb::IndexOutOfBounds);
 }
 
 TEST(EdgeList, MatrixRoundTrip) {

@@ -2,6 +2,12 @@
 // build with dup, transpose, tuples.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
+#include <random>
+#include <tuple>
 #include <vector>
 
 #include "graphblas/matrix.hpp"
@@ -59,6 +65,110 @@ TEST(Matrix, BuildCombinesDuplicatesWithDup) {
   auto m = grb::Matrix<double>::build(3, 3, r, c, v, grb::Min<double>{});
   EXPECT_EQ(m.nvals(), 1u);
   EXPECT_DOUBLE_EQ(*m.extract_element(1, 2), 3.0);
+}
+
+/// The builder build() replaced: stable-sort the triple order by
+/// (row, col), then fold each run of equal coordinates left to right with
+/// `dup`.  Written independently so the counting-sort builder is checked
+/// against the semantics, not against itself.
+template <typename Dup>
+grb::Matrix<double> reference_build(Index n, const std::vector<Index>& r,
+                                    const std::vector<Index>& c,
+                                    const std::vector<double>& v, Dup dup) {
+  std::vector<std::size_t> order(r.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
+                                                   std::size_t b) {
+    return std::tie(r[a], c[a]) < std::tie(r[b], c[b]);
+  });
+  std::vector<Index> ptr(n + 1, 0), ind;
+  std::vector<double> val;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::size_t k = order[i];
+    if (i > 0 && r[order[i - 1]] == r[k] && c[order[i - 1]] == c[k]) {
+      val.back() = dup(val.back(), v[k]);
+    } else {
+      ind.push_back(c[k]);
+      val.push_back(v[k]);
+      ++ptr[r[k] + 1];
+    }
+  }
+  for (Index i = 0; i < n; ++i) ptr[i + 1] += ptr[i];
+  grb::Matrix<double> m(n, n);
+  m.adopt(std::move(ptr), std::move(ind), std::move(val));
+  return m;
+}
+
+/// Same CSR and the same value bits (operator== would equate 0.0 and -0.0).
+void expect_bit_identical(const grb::Matrix<double>& got,
+                          const grb::Matrix<double>& want) {
+  ASSERT_EQ(got.nrows(), want.nrows());
+  EXPECT_TRUE(std::ranges::equal(got.row_ptr(), want.row_ptr()));
+  EXPECT_TRUE(std::ranges::equal(got.col_ind(), want.col_ind()));
+  ASSERT_EQ(got.nvals(), want.nvals());
+  for (Index k = 0; k < got.nvals(); ++k) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.raw_values()[k]),
+              std::bit_cast<std::uint64_t>(want.raw_values()[k]))
+        << "entry " << k;
+  }
+}
+
+// Seeded unsorted triples with duplicates within and across rows, values
+// drawn from a set with signed-zero ties: Min keeps the first of 0.0 and
+// -0.0, so only a builder that folds in input order matches.  The second
+// leg feeds the triples pre-sorted, which takes the no-sort path per row
+// and still has to fold its duplicates.
+TEST(Matrix, BuildMatchesStableSortReferenceBitForBit) {
+  constexpr Index n = 40;
+  const double pool[] = {0.0, -0.0, 1.0, 2.5, -0.0, 0.0, 7.0};
+  std::mt19937_64 rng(20231);
+  std::vector<Index> r, c;
+  std::vector<double> v;
+  for (int k = 0; k < 1500; ++k) {
+    r.push_back(rng() % n);
+    c.push_back(rng() % 12);  // narrow column range: many duplicates
+    v.push_back(pool[rng() % std::size(pool)]);
+  }
+  // Explicit signed-zero ties at one coordinate in each order.
+  for (const auto& [row, col, x] : {std::tuple{3u, 30u, 0.0},
+                                    std::tuple{3u, 30u, -0.0},
+                                    std::tuple{5u, 31u, -0.0},
+                                    std::tuple{5u, 31u, 0.0}}) {
+    r.push_back(row);
+    c.push_back(col);
+    v.push_back(x);
+  }
+  for (bool presorted : {false, true}) {
+    SCOPED_TRACE(presorted ? "presorted" : "unsorted");
+    if (presorted) {
+      std::vector<std::size_t> order(r.size());
+      std::iota(order.begin(), order.end(), std::size_t{0});
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return std::tie(r[a], c[a]) < std::tie(r[b], c[b]);
+                       });
+      std::vector<Index> sorted_r, sorted_c;
+      std::vector<double> sorted_v;
+      for (std::size_t k : order) {
+        sorted_r.push_back(r[k]);
+        sorted_c.push_back(c[k]);
+        sorted_v.push_back(v[k]);
+      }
+      r.swap(sorted_r);
+      c.swap(sorted_c);
+      v.swap(sorted_v);
+    }
+    const auto by_min = grb::Matrix<double>::build(n, n, r, c, v,
+                                                   grb::Min<double>{});
+    expect_bit_identical(by_min, reference_build(n, r, c, v,
+                                                 grb::Min<double>{}));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*by_min.extract_element(3, 30)),
+              std::bit_cast<std::uint64_t>(0.0));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*by_min.extract_element(5, 31)),
+              std::bit_cast<std::uint64_t>(-0.0));
+    expect_bit_identical(grb::Matrix<double>::build(n, n, r, c, v),
+                         reference_build(n, r, c, v, grb::Second<double>{}));
+  }
 }
 
 TEST(Matrix, BuildRejectsOutOfBounds) {

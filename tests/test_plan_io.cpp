@@ -48,8 +48,9 @@ void write_file(const std::string& path,
   ASSERT_TRUE(os.good()) << path;
 }
 
-/// Everything observable must survive the trip bit-for-bit: the CSR, the
-/// materialized split, Δ and its provenance, the stats, the fingerprint.
+/// Everything observable must survive the trip bit-for-bit: the CSR, Δ and
+/// its provenance, the stats, the fingerprint, and the split each plan
+/// builds from them.
 void expect_bit_identical(const GraphPlan& original, const GraphPlan& loaded) {
   const grb::Matrix<double>& a = original.matrix();
   const grb::Matrix<double>& b = loaded.matrix();
@@ -86,8 +87,7 @@ void expect_bit_identical(const GraphPlan& original, const GraphPlan& loaded) {
   // Same bytes => same structural fingerprint (the cache-key anchor).
   EXPECT_EQ(original.fingerprint(), loaded.fingerprint());
 
-  // The loader adopts the split sections into A_L / A_H, so a loaded
-  // plan holds one split, as a built one does.
+  // A loaded plan builds one split, as a fresh one does.
   test::expect_one_split(loaded);
 }
 
@@ -119,6 +119,35 @@ TEST(PlanIoRoundTrip, WeightedSuiteGraphsBitIdentical) {
     GraphPlan loaded = GraphPlan::load(path);
     expect_bit_identical(plan, loaded);
     std::remove(path.c_str());
+  }
+}
+
+// The file stores A only: a loaded plan starts with nothing materialized,
+// and the split it then builds equals a fresh plan's, whether it is a
+// genuine A_L/A_H pair (mixed weights) or A itself (unit weights, Δ = 1).
+TEST(PlanIoRoundTrip, LoadedPlanBuildsItsSplitLazily) {
+  struct Case {
+    const char* name;
+    EdgeList graph;
+    double delta;
+    bool light_is_a;
+  };
+  const Case cases[] = {{"mixed", test::diamond_graph(), 2.5, false},
+                        {"unit", test::path_graph(40), 1.0, true}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string path = temp_plan_path(std::string("lazy_") + c.name);
+    GraphPlan(c.graph.to_matrix(), c.delta).save(path);
+    GraphPlan loaded = GraphPlan::load(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.setup_seconds(), 0.0);  // no split, no fingerprint
+
+    const GraphPlan fresh(c.graph.to_matrix(), c.delta);
+    EXPECT_TRUE(loaded.light_matrix() == fresh.light_matrix());
+    EXPECT_TRUE(loaded.heavy_matrix() == fresh.heavy_matrix());
+    EXPECT_GT(loaded.setup_seconds(), 0.0);
+    EXPECT_EQ(&loaded.light_matrix() == &loaded.matrix(), c.light_is_a);
+    test::expect_one_split(loaded);
   }
 }
 
@@ -188,6 +217,18 @@ TEST(PlanIoRoundTrip, LoadedPlanDistancesMatchInMemoryAllAlgorithms) {
 // a crash or a silently wrong plan.
 // ---------------------------------------------------------------------------
 
+// Byte offsets in the diamond plan (5 vertices, 10 edges): header fields
+// per PlanFileHeader in plan_io.cpp, then row_ptr (6), col_ind (10) and
+// val (10), 8 bytes each.
+constexpr std::size_t kNumVerticesAt = 24;
+constexpr std::size_t kNumEdgesAt = 32;
+constexpr std::size_t kDeltaAt = 40;
+constexpr std::size_t kMaxWeightAt = 56;
+constexpr std::size_t kChecksumAt = serving::kPlanHeaderBytes - 8;  // 88
+constexpr std::size_t kRowPtrAt = serving::kPlanHeaderBytes;        // 96
+constexpr std::size_t kColIndAt = kRowPtrAt + 6 * 8;                // 144
+constexpr std::size_t kValAt = kColIndAt + 10 * 8;                  // 224
+
 class PlanIoReject : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -195,7 +236,7 @@ class PlanIoReject : public ::testing::Test {
     path_ = temp_plan_path("reject");
     plan.save(path_);
     bytes_ = read_file(path_);
-    ASSERT_GT(bytes_.size(), 112u);
+    ASSERT_GT(bytes_.size(), serving::kPlanHeaderBytes);
   }
 
   void TearDown() override { std::remove(path_.c_str()); }
@@ -224,7 +265,7 @@ class PlanIoReject : public ::testing::Test {
   void restamp_checksum() {
     const std::uint64_t sum =
         serving::PlanIo::file_checksum(bytes_.data(), bytes_.size());
-    std::memcpy(bytes_.data() + 104, &sum, sizeof(sum));
+    std::memcpy(bytes_.data() + kChecksumAt, &sum, sizeof(sum));
   }
 
   std::string path_;
@@ -274,9 +315,9 @@ TEST_F(PlanIoReject, PayloadBitFlip) {
 }
 
 TEST_F(PlanIoReject, HeaderStatsBitFlip) {
-  // max_weight sits at offset 72 — inside the checksummed header region but
-  // after every field the structural validators look at.
-  bytes_[72] ^= 0x01;
+  // max_weight: inside the checksummed header region but after every
+  // field the structural validators look at.
+  bytes_[kMaxWeightAt] ^= 0x01;
   expect_rejected("checksum mismatch");
 }
 
@@ -289,15 +330,14 @@ TEST_F(PlanIoReject, HeaderStatsBitFlip) {
 TEST_F(PlanIoReject, HeaderCountsOverflowUint64) {
   // (num_vertices + 1) * 8 wraps: a naive computation would alias a small
   // payload size and commit memory the file cannot back.
-  patch(24, ~std::uint64_t{0} - 1);  // num_vertices
+  patch(kNumVerticesAt, ~std::uint64_t{0} - 1);
   restamp_checksum();
   expect_rejected("header counts overflow");
 }
 
 TEST_F(PlanIoReject, HeaderCountSumOverflows) {
-  // Each product fits but the section sum wraps.
-  patch(32, std::uint64_t{1} << 61);  // num_edges
-  patch(40, std::uint64_t{1} << 61);  // light_nnz
+  // Each product fits (2^60 * 8 = 2^63) but col_ind + val wraps the sum.
+  patch(kNumEdgesAt, std::uint64_t{1} << 60);
   restamp_checksum();
   expect_rejected("header counts overflow");
 }
@@ -305,7 +345,7 @@ TEST_F(PlanIoReject, HeaderCountSumOverflows) {
 TEST_F(PlanIoReject, HeaderCountsExceedFileSize) {
   // No overflow, just a claimed payload far beyond the real byte count:
   // caught by the exact size cross-check, still before any allocation.
-  patch(32, std::uint64_t{1} << 40);  // num_edges
+  patch(kNumEdgesAt, std::uint64_t{1} << 40);
   restamp_checksum();
   expect_rejected("file size mismatch");
 }
@@ -317,57 +357,48 @@ TEST_F(PlanIoReject, HeaderCountsExceedFileSize) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PlanIoReject, ForgedNaNDelta) {
-  patch(56, std::nan(""));
+  patch(kDeltaAt, std::nan(""));
   restamp_checksum();
   expect_rejected("invalid delta");
 }
 
 TEST_F(PlanIoReject, ForgedZeroDelta) {
-  patch(56, 0.0);
+  patch(kDeltaAt, 0.0);
   restamp_checksum();
   expect_rejected("invalid delta");
 }
 
 TEST_F(PlanIoReject, ForgedNegativeWeight) {
-  // val[0]: header(112) + row_ptr(6*8) + col_ind(10*8) = offset 240.
-  patch(240, -2.0);
+  patch(kValAt, -2.0);
   restamp_checksum();
   expect_rejected("non-finite or negative edge weight");
 }
 
 TEST_F(PlanIoReject, ForgedNaNWeight) {
-  patch(240, std::nan(""));
+  patch(kValAt, std::nan(""));
   restamp_checksum();
   expect_rejected("non-finite or negative edge weight");
 }
 
 TEST_F(PlanIoReject, ForgedRowPtrRiseThenFall) {
-  // row_ptr[1] at offset 120 jumps past nnz while row_ptr[5] still ends
-  // at 10: monotone-so-far, both endpoints plausible — the per-row bound
-  // check in grb::audit::check_csr is what must catch it (it used to
-  // read col_ind out of bounds instead).
-  patch(120, std::uint64_t{1} << 20);
+  // row_ptr[1] jumps past nnz while row_ptr[5] still ends at 10:
+  // monotone-so-far, both endpoints plausible — the per-row bound check
+  // in grb::audit::check_csr is what must catch it (it used to read
+  // col_ind out of bounds instead).
+  patch(kRowPtrAt + 8, std::uint64_t{1} << 20);
   restamp_checksum();
   expect_rejected("structurally invalid payload");
 }
 
 TEST_F(PlanIoReject, ForgedColIndOutOfRange) {
-  // col_ind[0] at offset 160 points far outside the 5-vertex graph.
-  patch(160, std::uint64_t{1} << 30);
-  restamp_checksum();
-  expect_rejected("structurally invalid payload");
-}
-
-TEST_F(PlanIoReject, ForgedLightSplitCorruption) {
-  // light_ptr[1] (offset 320 + 8) inflated: the split CSR audit fails
-  // regardless of what the light/heavy partition contains.
-  patch(328, std::uint64_t{1} << 20);
+  // col_ind[0] points far outside the 5-vertex graph.
+  patch(kColIndAt, std::uint64_t{1} << 30);
   restamp_checksum();
   expect_rejected("structurally invalid payload");
 }
 
 // ---------------------------------------------------------------------------
-// Golden file: tests/data/diamond.plan, written at format version 1 with a
+// Golden file: tests/data/diamond.plan, written at format version 2 with a
 // pinned Δ of 2.5.  A format change that still round-trips (writer and
 // reader drifting together) cannot pass this test without a deliberate
 // golden regeneration.

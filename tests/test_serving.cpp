@@ -362,6 +362,34 @@ TEST(Serving, PerQueryAlgorithmOverrideIsHonored) {
   ASSERT_TRUE(r.ok()) << r.error;
   const auto cmp = compare_distances(oracle[2], r.result.dist, 1e-9);
   EXPECT_TRUE(cmp.ok) << cmp.message;
+
+  // A server pinned to a threaded core: the workers are the parallelism,
+  // so each solve runs on its worker's thread alone, and answers with
+  // Dijkstra's bits (integer weights make every path sum exact).
+  EdgeList graph = generate_small_world(300, 4, 0.1, 7);
+  graph.symmetrize();
+  graph.normalize();
+  assign_integer_weights(graph, 1, 20, 5);
+  const grb::Matrix<double> b = graph.to_matrix();
+  ServerOptions options;
+  options.num_workers = 2;
+  options.algorithm = sssp::Algorithm::kOpenmp;
+  options.cache_capacity = 0;
+  SsspServer pinned{grb::Matrix<double>(b), options};
+  std::vector<SsspServer::Ticket> tickets;
+  for (Index source = 0; source < 8; ++source) {
+    tickets.push_back(pinned.submit(source));
+  }
+  for (Index source = 0; source < 8; ++source) {
+    SCOPED_TRACE("source " + std::to_string(source));
+    const sssp::QueryResult got = pinned.wait(tickets[source]);
+    ASSERT_TRUE(got.ok()) << got.error;
+    const std::vector<double> want = dijkstra(b, source).dist;
+    ASSERT_EQ(got.result.dist.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.result.dist.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0);
+  }
 }
 
 // ---------------------------------------------------------------------------

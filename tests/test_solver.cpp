@@ -317,6 +317,49 @@ TEST(GraphPlan, OneSplitServesCsrAndMatrixReaders) {
   expect_one_split(plan);
 }
 
+// Fig. 2's split at Fig. 3's configuration: with unit weights and Δ = 1,
+// A_L = A ∘ (0 < A <= Δ) is A, so the plan shares A instead of copying
+// it; with Δ below every weight, A_H is A.  A mixed graph, or one
+// zero-weight edge (which belongs to neither half), still gets two built
+// halves.  Every registry entry answers with Dijkstra's bits on all four.
+TEST(GraphPlan, SplitSharesAWhenOneHalfHoldsEveryEdge) {
+  auto unit = generate_connected_random(300, 900, 5);
+  auto heavy = unit;
+  assign_integer_weights(heavy, 2, 9, 6);
+  auto mixed = unit;
+  assign_integer_weights(mixed, 1, 9, 7);
+  auto zero = unit;
+  zero.edges()[17].weight = 0.0;
+  struct Case {
+    const char* name;
+    const EdgeList& graph;
+    double delta;
+    bool light_is_a;
+    bool heavy_is_a;
+  };
+  const Case cases[] = {{"unit", unit, 1.0, true, false},
+                        {"all_heavy", heavy, 1.0, false, true},
+                        {"mixed", mixed, 4.0, false, false},
+                        {"one_zero_weight", zero, 1.0, false, false}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const GraphPlan plan(c.graph.to_matrix(), c.delta);
+    const grb::Matrix<double>& a = plan.matrix();
+    EXPECT_EQ(&plan.light_matrix() == &a, c.light_is_a);
+    EXPECT_EQ(&plan.heavy_matrix() == &a, c.heavy_is_a);
+    if (c.light_is_a) {
+      EXPECT_EQ(plan.heavy_matrix().nvals(), 0u);
+    } else if (c.heavy_is_a) {
+      EXPECT_EQ(plan.light_matrix().nvals(), 0u);
+    } else {
+      EXPECT_GT(plan.light_matrix().nvals(), 0u);
+    }
+    expect_one_split(plan);
+    plan.check_invariants();
+    expect_registry_matches_dijkstra_bits(plan, 0);
+  }
+}
+
 // The view's spans point into the plan's lazy cache, which a move hands
 // over without relocating: a materialized, moved plan still solves.
 TEST(GraphPlan, MaterializedPlanSurvivesMove) {

@@ -6,7 +6,8 @@
 //   3. the solver registry as a table (the threaded entries at two thread
 //      counts), plus the DSG_CHECK_IMPL_PARITY table-driven parity macro
 //      (structural validate_sssp + Dijkstra agreement for each entry, all
-//      run on one shared GraphPlan),
+//      run on one shared GraphPlan) and its bit-exact sibling
+//      expect_registry_matches_dijkstra_bits,
 //   4. run_concurrent_stress, the barrier-started multi-thread harness
 //      shared by the serving and async suites.
 #pragma once
@@ -15,6 +16,7 @@
 
 #include <barrier>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <ostream>
 #include <random>
@@ -124,7 +126,8 @@ inline void expect_distances(const std::vector<double>& got,
 }
 
 /// The plan holds one light/heavy split: the CSR view the fused family
-/// reads is the storage of the A_L / A_H the GraphBLAS family reads.
+/// reads is the storage of the A_L / A_H the GraphBLAS family reads (A
+/// itself for a half that holds every edge).
 inline void expect_one_split(const GraphPlan& plan) {
   const dsg::detail::LightHeavySplit& s = plan.light_heavy();
   const grb::Matrix<double>& al = plan.light_matrix();
@@ -219,6 +222,24 @@ inline const std::vector<Impl>& delta_stepping_impls() {
 inline const std::vector<Impl>& all_sssp_impls() {
   static const std::vector<Impl> impls = detail::registry_impls(false);
   return impls;
+}
+
+/// Every registry entry (the threaded ones at 2 and 4 threads) returns
+/// Dijkstra's distances on `plan` bit for bit, not merely within a
+/// tolerance.  Use it on integer-weighted graphs, where every path sum is
+/// exact.
+inline void expect_registry_matches_dijkstra_bits(const GraphPlan& plan,
+                                                  Index source) {
+  const SsspResult want =
+      run_registry(plan, sssp::Algorithm::kDijkstra, source);
+  for (const Impl& impl : all_sssp_impls()) {
+    SCOPED_TRACE("impl=" + impl.name);
+    const SsspResult got = impl.run(plan, source);
+    ASSERT_EQ(got.dist.size(), want.dist.size());
+    EXPECT_EQ(std::memcmp(got.dist.data(), want.dist.data(),
+                          want.dist.size() * sizeof(double)),
+              0);
+  }
 }
 
 // ---------------------------------------------------------------------------
