@@ -2,10 +2,13 @@
 // by the solver registry: every registered algorithm (four delta-stepping
 // implementations, the C-API transcription, the OpenMP variant, Dijkstra
 // and Bellman-Ford) runs through a warm SsspSolver, so the numbers are
-// per-query costs with plan setup amortized (the serving scenario).  The
-// one-time plan cost is reported in its own column, and `auto` names the
-// core sssp::auto_algorithm routes the graph to at the run's Δ, so the
-// routing rule can be checked against the measured columns.
+// per-query costs with plan setup amortized (the serving scenario).  Every
+// core runs at ExecOptions::num_threads = 1, as SsspServer runs it, so the
+// threaded columns (openmp, delta_stepping_async) are the times a server
+// actually serves.  The one-time plan cost is reported in its own column,
+// and `auto` names the core sssp::auto_algorithm routes the graph to at
+// the run's Δ, so the routing rule can be checked against the measured
+// columns.
 //
 // Expected shape: fused ~ buckets ~ dijkstra within small factors;
 // graphblas slower by the Fig. 3 factor; graphblas_select between the two:
@@ -48,6 +51,7 @@ int main(int argc, char** argv) {
       sssp::SolverOptions options;
       options.algorithm = info.id;
       options.delta = delta;
+      options.exec.num_threads = 1;
       sssp::SsspSolver solver(a, options);
       const double ms = bench::time_best_ms(
           [&] { return solver.solve(0); }, *a, 0, reps);
@@ -66,7 +70,8 @@ int main(int argc, char** argv) {
     table.add_row(std::move(row));
   }
 
-  table.add_footer("per-query cost on a warm plan; split_plan_ms is the "
+  table.add_footer("per-query cost on a warm plan, every core at one "
+                   "thread as SsspServer runs it; split_plan_ms is the "
                    "one-time validation + A_L/A_H split setup, shared by "
                    "the buckets/fused/openmp and graphblas families; auto "
                    "is auto_algorithm's pick at this delta.");

@@ -34,8 +34,9 @@
 #                  plus fused_setup_ms, whose share of fused_ms is the
 #                  paper's Sec. VI-C filtering claim (35-40%).
 #   baselines      bench_baselines: warm per-query ms for every registry
-#                  algorithm (one column each) plus split_plan_ms, and
-#                  `auto`: the algorithm sssp::auto_algorithm picks.
+#                  algorithm (one column each, all at one thread, as
+#                  SsspServer runs them) plus split_plan_ms, and `auto`:
+#                  the algorithm sssp::auto_algorithm picks.
 #   delta_sweep    bench_delta_sweep: fused ms, buckets, light phases and
 #                  relaxations across the Δ grid (Sec. VII), `auto` marking
 #                  the plan's auto-Δ; dijkstra and bellman_ford reference

@@ -208,8 +208,10 @@ typedef struct DsgSolver_opaque* DsgSolver;
 /* Algorithm selector; values mirror dsg::sssp::Algorithm. */
 typedef enum {
   /* Let the plan's graph/Δ statistics pick the algorithm (the serving
-   * layer's heuristic: Dijkstra below the bucket-amortization cutoff or
-   * when Δ leaves almost no light edges, the fused core otherwise).
+   * layer's cost rule, sssp::auto_algorithm: Dijkstra below the
+   * bucket-amortization cutoff or when Δ leaves almost no light edges;
+   * otherwise buckets on high-diameter graphs, else the fused core, or
+   * the async engine when no edge weight is below Δ).
    * Valid ONLY for DsgServer_new / DsgServer_new_from_file; DsgSolver_new
    * rejects it with GrB_INVALID_VALUE. */
   DSG_SSSP_AUTO = -1,

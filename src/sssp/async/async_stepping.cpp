@@ -15,6 +15,7 @@
 #include <array>
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -27,9 +28,15 @@
 #include "sssp/async/write_min.hpp"
 #include "testing/fault_injection.hpp"
 
+#if defined(DSG_HAVE_OPENMP)
+#include <omp.h>
+#endif
+
 namespace dsg {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 /// Per-thread eager queue depth (the PASGAL local-queue idiom): freshly
 /// improved vertices are relaxed in-round, skipping a frontier round trip.
@@ -83,6 +90,7 @@ struct Engine {
   std::span<const double> val;
   Index n = 0;
   double delta = 1.0;
+  bool profile = false;  ///< ExecOptions::profile: fill the phase timers
 
   // Shared concurrent state (atomics: touched by all workers in-round).
   std::atomic<double>* dist = nullptr;
@@ -329,9 +337,28 @@ struct Engine {
     theta = processed == 0 ? kInfDist : compute_theta(frontier_min);
   }
 
+  Clock::time_point profile_now() const {
+    return profile ? Clock::now() : Clock::time_point{};
+  }
+
+  /// coordinate(), timed under exec.profile from the coordinator's view of
+  /// the round that began at `round_start`: until every worker's
+  /// relaxation is done as light_seconds, the bookkeeping after it as
+  /// vector_seconds.
+  void timed_coordinate(Clock::time_point round_start) {
+    const Clock::time_point relaxed = profile_now();
+    coordinate();
+    if (profile) {
+      using Seconds = std::chrono::duration<double>;
+      stats.light_seconds += Seconds(relaxed - round_start).count();
+      stats.vector_seconds += Seconds(Clock::now() - relaxed).count();
+    }
+  }
+
   void worker(std::barrier<>& bar, int tid) {
     Local loc;
     for (;;) {
+      const Clock::time_point round_start = profile_now();  // tid 0's is used
       try {
         run_round(loc);
       } catch (...) {
@@ -346,7 +373,7 @@ struct Engine {
       bar.arrive_and_wait();  // all relaxation for this round is done
       if (tid == 0) {
         try {
-          coordinate();
+          timed_coordinate(round_start);
         } catch (...) {
           record_failure();
           done = true;
@@ -375,6 +402,7 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   eng.val = a.raw_values();
   eng.n = n;
   eng.delta = plan.delta();
+  eng.profile = exec.profile;
 
   eng.dist = ws.dist.get();
   for (Index v = 0; v < n; ++v) {
@@ -393,9 +421,17 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   eng.theta = eng.compute_theta(0.0);
   eng.control = exec.control;
 
-  int threads = exec.num_threads > 0
-                    ? exec.num_threads
-                    : static_cast<int>(std::thread::hardware_concurrency());
+  // 0 is the library default: the OpenMP cores' team size where OpenMP is
+  // built in (so OMP_NUM_THREADS caps every threaded core alike), else the
+  // hardware concurrency.
+  int threads = exec.num_threads;
+  if (threads <= 0) {
+#if defined(DSG_HAVE_OPENMP)
+    threads = omp_get_max_threads();
+#else
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+#endif
+  }
   if (threads < 1) threads = 1;
 
   // Pre-run poll: a deadline of 0 (or an already-cancelled control) returns
@@ -410,8 +446,9 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
     Local loc;
     try {
       while (!eng.done) {
+        const Clock::time_point round_start = eng.profile_now();
         eng.run_round(loc);
-        eng.coordinate();
+        eng.timed_coordinate(round_start);
       }
     } catch (...) {
       eng.record_failure();

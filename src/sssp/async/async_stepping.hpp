@@ -28,8 +28,11 @@
 // flags the variant deterministic = false because its SsspStats are
 // schedule-dependent; SsspResult.dist is not.
 //
-// The per-phase timers (light/heavy/vector_seconds) stay 0: the fused
-// relaxation has no phase structure to attribute time to.
+// Under ExecOptions::profile, light_seconds is the time in relaxation
+// rounds and vector_seconds the coordinator's bookkeeping between them
+// (termination test, dense-size estimate, mode switch, dense-to-sparse
+// pack, theta), both timed from the coordinator's view of each round;
+// heavy_seconds stays 0, the engine has no heavy phase.
 // stats.outer_iterations counts rounds and stats.relax_requests counts
 // vertices relaxed (frontier members plus local-queue hits), matching
 // the vertex-granular accounting of the deterministic engines.
@@ -46,8 +49,9 @@ namespace dsg {
 
 /// Asynchronous delta-stepping.  Buckets by the plan's delta but relaxes
 /// each bucket lock-free instead of in two-pass deterministic phases.
-/// Uses ExecOptions::num_threads (0 = hardware concurrency, 1 = inline on
-/// the calling thread).
+/// Uses ExecOptions::num_threads (0 = the library default, as for the
+/// OpenMP cores: omp_get_max_threads() when built with OpenMP, else the
+/// hardware concurrency; 1 = inline on the calling thread).
 SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec);
 

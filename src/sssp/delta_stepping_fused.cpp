@@ -58,8 +58,8 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
 
   Index i = 0;
   // Outer loop: while some reached vertex still has t >= i*delta.
-  // `remaining` counts reached vertices with t >= i*delta; recomputed in the
-  // fused per-bucket pass below.
+  // count_remaining is that test: its own O(n) pass over t at the head of
+  // every bucket iteration, separate from the bucket-construction pass.
   auto count_remaining = [&](double lo) {
     Index count = 0;
     for (Index v = 0; v < n; ++v) {

@@ -1,6 +1,7 @@
 #include "sssp/plan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -61,6 +62,37 @@ std::uint64_t mix64(std::uint64_t x) {
 std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
   return mix64(h ^ v);
 }
+
+/// Four independent hash_combine chains: word k of each array goes to
+/// lane k mod 4, so the CPU overlaps four mixes instead of waiting on one
+/// long dependency chain; finish() folds the lanes in order.
+struct LaneHash {
+  static constexpr std::uint64_t kBasis = 0xcbf29ce484222325ULL;  // FNV
+  std::array<std::uint64_t, 4> lane{kBasis, kBasis + 1, kBasis + 2,
+                                    kBasis + 3};
+
+  template <typename T>
+  void add(std::span<const T> words) {
+    const std::size_t size = words.size();
+    std::size_t k = 0;
+    for (; k + 4 <= size; k += 4) {
+      for (std::size_t l = 0; l < 4; ++l) {
+        lane[l] = hash_combine(lane[l],
+                               std::bit_cast<std::uint64_t>(words[k + l]));
+      }
+    }
+    for (; k < size; ++k) {
+      lane[k % 4] =
+          hash_combine(lane[k % 4], std::bit_cast<std::uint64_t>(words[k]));
+    }
+  }
+
+  std::uint64_t finish() const {
+    std::uint64_t h = kBasis;
+    for (const std::uint64_t l : lane) h = hash_combine(h, l);
+    return h;
+  }
+};
 
 /// A_L = A ∘ (0 < A <= Δ) and A_H = A ∘ (A > Δ) (Fig. 2 lines 15-21):
 /// one pass counts each row's light/heavy entries, one pass fills them,
@@ -164,16 +196,13 @@ std::uint64_t GraphPlan::fingerprint() const {
   return derived<FingerprintSlot>([&] {
            auto slot = std::make_shared<FingerprintSlot>();
            const grb::Matrix<double>& a = *a_;
-           std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV offset basis
-           h = hash_combine(h, a.nrows());
-           h = hash_combine(h, a.ncols());
-           h = hash_combine(h, a.nvals());
-           for (Index p : a.row_ptr()) h = hash_combine(h, p);
-           for (Index c : a.col_ind()) h = hash_combine(h, c);
-           for (double w : a.raw_values()) {
-             h = hash_combine(h, std::bit_cast<std::uint64_t>(w));
-           }
-           slot->value = h;
+           const std::array<Index, 3> dims{a.nrows(), a.ncols(), a.nvals()};
+           LaneHash h;
+           h.add(std::span<const Index>(dims));
+           h.add(a.row_ptr());
+           h.add(a.col_ind());
+           h.add(a.raw_values());
+           slot->value = h.finish();
            return slot;
          })
       .value;

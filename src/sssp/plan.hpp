@@ -70,8 +70,9 @@ inline constexpr double kAutoDelta = 0.0;
 struct ExecOptions {
   /// Collect the per-phase timers in SsspStats (small overhead).
   bool profile = false;
-  /// OpenMP and async variants: thread count (0 = library default /
-  /// hardware concurrency).
+  /// OpenMP and async variants: thread count (0 = library default:
+  /// omp_get_max_threads() when built with OpenMP, so OMP_NUM_THREADS
+  /// applies, else the hardware concurrency).
   int num_threads = 0;
   /// Optional query lifecycle control (deadline + cooperative cancel).
   /// Null = run to completion unconditionally.  Cores poll it at their

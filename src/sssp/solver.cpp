@@ -1,5 +1,6 @@
 #include "sssp/solver.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -122,16 +123,25 @@ Algorithm route(const GraphPlan& plan) {
     return Algorithm::kDijkstra;
   }
   // One pass over the weights: the light fraction (the split's rule,
-  // 0 < w <= Δ, without building the split) and the mean weight.
+  // 0 < w <= Δ, without building the split), the mean weight and the
+  // minimum weight, zeros included (a loaded plan's stats come from the
+  // file header, so the minimum is taken from the weights themselves).
   const double delta = plan.delta();
   std::size_t light = 0;
   double weight_sum = 0.0;
+  double min_weight = kInfDist;
   for (const double w : plan.matrix().raw_values()) {
     light += (w > 0.0 && w <= delta) ? 1 : 0;
     weight_sum += w;
+    min_weight = std::min(min_weight, w);
   }
   const double m = static_cast<double>(stats.num_edges);
   if (static_cast<double>(light) / m <= 0.1) return Algorithm::kDijkstra;
+  // With no edge lighter than Δ a bucket can never refill itself, so the
+  // async engine expands every vertex once and skips fused's O(n) scans.
+  const Algorithm fused_or_async = min_weight >= delta
+                                       ? Algorithm::kDeltaSteppingAsync
+                                       : Algorithm::kFused;
 
   // The cost rule documented on auto_algorithm.  buckets also scans its
   // ceil(max_w / Δ) + 2 cyclic slots per bucket, so it is a candidate only
@@ -141,7 +151,7 @@ Algorithm route(const GraphPlan& plan) {
   // weight / Δ > kRelaxationInScans × m for hops gives the BFS its budget.
   constexpr double kRelaxationInScans = 1.0;
   const double n = static_cast<double>(stats.num_vertices);
-  if (stats.max_weight / delta >= n) return Algorithm::kFused;
+  if (stats.max_weight / delta >= n) return fused_or_async;
   const double mean_weight = weight_sum / m;
   const double hop_budget = kRelaxationInScans * m * delta / (n * mean_weight);
   // The first max-degree vertex, found from the CSR itself: a loaded
@@ -152,7 +162,7 @@ Algorithm route(const GraphPlan& plan) {
     if (row_ptr[v + 1] - row_ptr[v] > row_ptr[hub + 1] - row_ptr[hub]) hub = v;
   }
   return hops_exceed(plan.matrix(), hub, hop_budget) ? Algorithm::kBuckets
-                                                     : Algorithm::kFused;
+                                                     : fused_or_async;
 }
 
 }  // namespace

@@ -102,13 +102,26 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm);
 ///     the BFS eccentricity of the first max-degree vertex), kBuckets when
 ///     n × B > m and its max_w / Δ cyclic slots number fewer than n;
 ///     kFused otherwise.  The one constant, 1, weighs a relaxation against
-///     a vertex scan and was fitted by measurement.
-/// The light count and mean weight are one pass over the weights, so a
-/// plan routed to Dijkstra never builds its light/heavy split; the BFS
-/// stops at the first level past the hop budget.  The pick is made once
-/// per plan and counts in setup_seconds().  Only internally-serial,
-/// pool-safe variants are returned (never kCapi, whose process-global
-/// operator state cannot run on concurrent workers).
+///     a vertex scan and was fitted by measurement;
+///   - wherever that returns kFused, kDeltaSteppingAsync instead when no
+///     stored weight is lighter than Δ (zeros included: one zero weight
+///     keeps kFused).  Fig. 2's inner light loop exists only because a
+///     light edge can put a vertex back into the bucket being processed;
+///     with every weight >= Δ a relaxation from the window [iΔ, (i+1)Δ)
+///     lands at or past (i+1)Δ, so the async engine expands each reached
+///     vertex exactly once, as fused does (up to rounding at a Δ whose
+///     multiples are inexact).  An async round costs at most its frontier
+///     plus the vertices it carries forward, while fused pays at least n
+///     per bucket index, empty or not, so here async's work never exceeds
+///     fused's.  This is the unit-weight, Δ = 1 setting of Fig. 3.
+/// The light count, mean and minimum weight are one pass over the
+/// weights, so a plan routed to Dijkstra or async never builds its
+/// light/heavy split; the BFS stops at the first level past the hop
+/// budget.  The pick is made once per plan and counts in setup_seconds().
+/// Only pool-safe variants are returned (never kCapi, whose
+/// process-global operator state cannot run on concurrent workers); the
+/// one threaded pick, kDeltaSteppingAsync, runs inline and serial at
+/// ExecOptions::num_threads = 1, as SsspServer sets it.
 Algorithm auto_algorithm(const GraphPlan& plan);
 
 /// Solver construction options.

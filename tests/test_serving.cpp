@@ -404,10 +404,21 @@ TEST(Serving, AutoAlgorithmPicksDijkstraForTinyGraphs) {
 }
 
 TEST(Serving, AutoAlgorithmPicksFusedForLightDominatedGraphs) {
-  // 5000 unit-weight vertices, auto Δ: every edge is light.  A star, so
-  // at most three buckets per query and fused's vertex scans stay cheap.
-  GraphPlan plan(generate_star(5000).to_matrix());
+  // 5000 vertices, integer weights 1..100, auto Δ ~50: about half the
+  // edges are light and some lie below Δ.  A star, so two hops per query
+  // and fused's vertex scans stay cheap.
+  EdgeList graph = generate_star(5000);
+  assign_integer_weights(graph, 1, 100, 5);
+  GraphPlan plan(graph.to_matrix());
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kFused);
+}
+
+TEST(Serving, AutoAlgorithmPicksAsyncWhenNoEdgeIsLighterThanDelta) {
+  // The same star with unit weights, auto Δ 1: every edge is light, but
+  // none is below Δ, so no bucket can refill itself.
+  GraphPlan plan(generate_star(5000).to_matrix());
+  EXPECT_EQ(sssp::auto_algorithm(plan),
+            sssp::Algorithm::kDeltaSteppingAsync);
 }
 
 TEST(Serving, AutoAlgorithmPicksBucketsForLongPaths) {
@@ -424,9 +435,10 @@ TEST(Serving, AutoAlgorithmPicksDijkstraWhenAlmostNothingIsLight) {
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kDijkstra);
 }
 
-TEST(Serving, AutoAlgorithmKeepsFusedWhenBucketSlotsOutnumberVertices) {
+TEST(Serving, AutoAlgorithmPicksAsyncWhenBucketSlotsOutnumberVertices) {
   // Half the edges weigh 1e-9 and half 1: at Δ 1e-9 half are light, but
-  // buckets would keep 1e9 cyclic slots for 5000 vertices.
+  // buckets would keep 1e9 cyclic slots for 5000 vertices.  No weight is
+  // below Δ, so the non-buckets pick is async rather than fused.
   EdgeList graph(5000);
   for (Index v = 0; v + 1 < 5000; ++v) {
     const double w = v % 2 == 0 ? 1e-9 : 1.0;
@@ -434,6 +446,18 @@ TEST(Serving, AutoAlgorithmKeepsFusedWhenBucketSlotsOutnumberVertices) {
     graph.add_edge(v + 1, v, w);
   }
   GraphPlan plan(graph.to_matrix(), 1e-9);
+  EXPECT_EQ(sssp::auto_algorithm(plan),
+            sssp::Algorithm::kDeltaSteppingAsync);
+}
+
+TEST(Serving, AutoAlgorithmKeepsFusedWhenAnEdgeWeighsZero) {
+  // The unit star plus one zero-weight edge: the minimum stored weight is
+  // 0 < Δ, so the pick stays fused.  (The split cores do not traverse a
+  // zero-weight edge, see EdgeCases.ZeroWeightEdgesAreExcludedFromLightSet,
+  // so this also keeps what such a graph is served unchanged.)
+  EdgeList graph = generate_star(5000);
+  graph.add_edge(1, 2, 0.0);
+  GraphPlan plan(graph.to_matrix());
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kFused);
 }
 
@@ -447,11 +471,23 @@ grb::Matrix<double> weighted_grid() {
 }
 
 // rmat scale 12, unit weights: `social`'s shape, a handful of hops.
-grb::Matrix<double> unit_rmat() {
+EdgeList unit_rmat_edges() {
   EdgeList graph = generate_rmat({.scale = 12, .edge_factor = 12, .seed = 3});
   graph.symmetrize();
   graph.normalize();
   assign_unit_weights(graph);
+  return graph;
+}
+
+grb::Matrix<double> unit_rmat() { return unit_rmat_edges().to_matrix(); }
+
+// The same graph plus one edge pair of weight 0.5, served at Δ 1 (auto Δ
+// would drop to 0.5): an edge lighter than Δ, so a bucket can refill
+// itself and the pick stays fused.
+grb::Matrix<double> unit_rmat_with_light_edge() {
+  EdgeList graph = unit_rmat_edges();
+  graph.add_edge(0, 1, 0.5);  // to_matrix keeps the minimum of duplicates
+  graph.add_edge(1, 0, 0.5);
   return graph.to_matrix();
 }
 
@@ -459,6 +495,7 @@ struct RoutedShape {
   const char* name;
   grb::Matrix<double> (*make)();
   sssp::Algorithm pick;
+  double delta = kAutoDelta;
 };
 
 void PrintTo(const RoutedShape& shape, std::ostream* os) { *os << shape.name; }
@@ -471,6 +508,7 @@ TEST_P(AutoRoute, PicksByCostAndMatchesDijkstraOnMissAndHit) {
   const grb::Matrix<double> a = GetParam().make();
   ServerOptions options;
   options.num_workers = 1;
+  options.delta = GetParam().delta;
   SsspServer server{grb::Matrix<double>(a), options};
   EXPECT_EQ(server.default_algorithm(), GetParam().pick);
   for (const Index source : {Index{0}, a.nrows() / 2 + 7}) {
@@ -494,7 +532,10 @@ INSTANTIATE_TEST_SUITE_P(
     Serving, AutoRoute,
     ::testing::Values(
         RoutedShape{"WeightedGrid", &weighted_grid, sssp::Algorithm::kBuckets},
-        RoutedShape{"UnitRmat", &unit_rmat, sssp::Algorithm::kFused}),
+        RoutedShape{"UnitRmat", &unit_rmat,
+                    sssp::Algorithm::kDeltaSteppingAsync},
+        RoutedShape{"UnitRmatWithLightEdge", &unit_rmat_with_light_edge,
+                    sssp::Algorithm::kFused, 1.0}),
     [](const auto& param) { return std::string(param.param.name); });
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,16 @@
 // point is unique: the min over fp path sums, the same values Dijkstra
 // computes.  Every check here therefore goes through the distances-only
 // oracle (DSG_CHECK_DISTANCES_ONLY) or compares distance vectors across
-// thread counts with exact equality — never through stats.
+// thread counts with exact equality.  Stats are checked only where they
+// do not depend on the schedule: with no edge lighter than Δ (the premise
+// of auto_algorithm's async pick) and under exec.profile's timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -182,6 +188,76 @@ TEST(AsyncDeterminism, DistancesBitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel[v], serial[v])
           << "threads=" << threads << " vertex " << v;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The premise of auto_algorithm's async pick: with every weight >= Δ a
+// relaxation from the window [iΔ, (i+1)Δ) lands at or past (i+1)Δ, so no
+// vertex re-enters the round that expanded it and each reached vertex is
+// expanded exactly once, at any thread count.  Integer weights at Δ 1 keep
+// every bucket bound exact.
+// ---------------------------------------------------------------------------
+
+grb::Matrix<double> rmat12(int max_weight) {
+  auto g = generate_rmat({.scale = 12, .edge_factor = 12, .seed = 3});
+  g.symmetrize();
+  g.normalize();
+  assign_integer_weights(g, 1, max_weight, 9);
+  return g.to_matrix();
+}
+
+TEST(AsyncWork, ExpandsEachReachedVertexOnceWhenNoEdgeIsLighterThanDelta) {
+  for (const int max_weight : {1, 3}) {  // unit, then weights {1, 2, 3}
+    const auto a = rmat12(max_weight);
+    const GraphPlan plan(grb::Matrix<double>(a), 1.0);
+    for (const Index source : {Index{0}, a.nrows() / 2 + 7}) {
+      for (const int threads : {1, 2}) {
+        SCOPED_TRACE("weights 1.." + std::to_string(max_weight) +
+                     " source " + std::to_string(source) + " threads " +
+                     std::to_string(threads));
+        ExecOptions exec;
+        exec.num_threads = threads;
+        const SsspResult r =
+            run_registry(plan, Algorithm::kDeltaSteppingAsync, source, exec);
+        DSG_CHECK_DISTANCES_ONLY(a, source, r.dist);
+        const auto reached = static_cast<std::uint64_t>(std::count_if(
+            r.dist.begin(), r.dist.end(),
+            [](double d) { return std::isfinite(d); }));
+        EXPECT_GT(reached, 1u);
+        EXPECT_EQ(r.stats.relax_requests, reached);
+      }
+    }
+  }
+}
+
+// Under exec.profile the engine times its relaxation rounds as light and
+// the coordinator's bookkeeping as vector work; it has no heavy phase, and
+// without the flag every timer stays 0.
+TEST(AsyncWork, ProfileFillsLightAndVectorTimers) {
+  const GraphPlan plan(rmat12(3), 1.0);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ExecOptions exec;
+    exec.num_threads = threads;
+    const SsspResult plain =
+        run_registry(plan, Algorithm::kDeltaSteppingAsync, 0, exec);
+    EXPECT_EQ(plain.stats.light_seconds, 0.0);
+    EXPECT_EQ(plain.stats.heavy_seconds, 0.0);
+    EXPECT_EQ(plain.stats.vector_seconds, 0.0);
+
+    exec.profile = true;
+    const auto start = std::chrono::steady_clock::now();
+    const SsspResult timed =
+        run_registry(plan, Algorithm::kDeltaSteppingAsync, 0, exec);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    EXPECT_GT(timed.stats.light_seconds, 0.0);
+    EXPECT_GT(timed.stats.vector_seconds, 0.0);
+    EXPECT_EQ(timed.stats.heavy_seconds, 0.0);
+    EXPECT_LE(timed.stats.light_seconds + timed.stats.vector_seconds, wall);
+    EXPECT_EQ(timed.dist, plain.dist);
   }
 }
 
