@@ -119,8 +119,9 @@ class SsspServer {
   const GraphPlan& plan() const { return *plan_; }
   /// The algorithm queries run under when they carry no override:
   /// ServerOptions::algorithm, or sssp::auto_algorithm's pick (dijkstra,
-  /// buckets, fused, or delta_stepping_async when no edge is lighter than
-  /// Δ), which every query runs at one thread.
+  /// buckets, fused, or delta_stepping_async: for one weight on a
+  /// symmetric pattern, a stored zero weight, or no edge lighter than Δ),
+  /// which every query runs at one thread.
   sssp::Algorithm default_algorithm() const { return default_algorithm_; }
 
   Ticket submit(Index source) {

@@ -21,6 +21,7 @@
 #include <exception>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -50,6 +51,15 @@ constexpr Index kGrabDense = 2048;
 /// Frontier density (estimated) at which the next round switches from the
 /// sparse list traversal to the dense flag sweep.
 constexpr Index kDenseFractionDivisor = 16;
+/// Level rounds switch direction by Beamer, Asanović & Patterson's rule
+/// (SC'12, with their constants), as the GAP benchmark's BFS applies it:
+/// push -> pull once the next frontier's edges exceed 1/α of the edges of
+/// unreached vertices, pull -> push once it shrinks below n/β vertices.
+/// Push also stays while the frontier shrinks: the tail of a
+/// high-diameter graph (a grid's far corner) has few unreached edges, and
+/// pulling it sweeps all n vertices per level.
+constexpr std::uint64_t kPushToPullAlpha = 14;
+constexpr std::uint64_t kPullToPushBeta = 24;
 
 /// O(n) engine state parked in the executing grb::Context so repeated
 /// solves (benchmark reps, batches) reuse capacity.  Invariant between
@@ -81,6 +91,7 @@ struct Local {
   std::array<Index, kLocalQueueSize> queue;
   int qsize = 0;
   std::uint64_t processed = 0;
+  std::uint64_t claimed_edges = 0;  ///< level rounds: degrees of the claims
   double next_min = kInfDist;
 };
 
@@ -91,6 +102,10 @@ struct Engine {
   Index n = 0;
   double delta = 1.0;
   bool profile = false;  ///< ExecOptions::profile: fill the phase timers
+  /// Level rounds (see async_stepping.hpp): set when every stored weight
+  /// is `weight` and the pattern is symmetric.
+  bool level = false;
+  double weight = 0.0;
 
   // Shared concurrent state (atomics: touched by all workers in-round).
   std::atomic<double>* dist = nullptr;
@@ -103,15 +118,22 @@ struct Engine {
   std::atomic<double> nxt_min{kInfDist};       ///< min candidate seen for next
   std::atomic<Index> work_cursor{0};    ///< work-stealing claim position
   std::atomic<std::uint64_t> processed_round{0};
+  std::atomic<std::uint64_t> claimed_edges_round{0};  ///< level rounds
 
   // Round configuration: written only by thread 0 between the two round
   // barriers (all other workers are parked in the second wait), read by
   // everyone after it — the barrier edge orders the plain accesses.
   Mode traverse_mode = Mode::kSparse;
   Mode insert_mode = Mode::kSparse;
-  Index cur_size = 0;  ///< exact in sparse rounds, estimated in dense ones
+  Index cur_size = 0;  ///< exact in sparse and level rounds, else estimated
   double theta = kInfDist;
+  double claim_dist = kInfDist;  ///< level rounds: the next level's L + w
+  /// Level rounds: edges of the vertices not yet reached (Beamer's m_u).
+  std::uint64_t unexplored_edges = 0;
   bool done = false;
+  /// Set when a level solve ends with frontier flags still set (after a
+  /// pull round, or at a distance that overflows); the caller scrubs them.
+  bool flags_dirty = false;
 
   SsspStats stats;  // coordinator-owned
 
@@ -192,12 +214,82 @@ struct Engine {
     while (loc.qsize > 0) handle(loc.queue[static_cast<std::size_t>(--loc.qsize)], loc);
   }
 
+  // --- level rounds --------------------------------------------------------
+  // The frontier is exactly one hop level, and every claim of the round
+  // writes the same claim_dist, so a claim is a write_min from +inf that
+  // succeeds once per vertex.  loc.processed counts claims.
+
+  /// Sparse level round: each frontier vertex claims its unreached
+  /// neighbours into the next frontier's list and flags.
+  void push_level(Local& loc) {
+    for (;;) {
+      const Index start =
+          work_cursor.fetch_add(kGrabSparse, std::memory_order_relaxed);
+      if (start >= cur_size) break;
+      const Index end = std::min(cur_size, start + kGrabSparse);
+      for (Index i = start; i < end; ++i) {
+        const Index u = cur_list[i];
+        cur_flags[u].store(0, std::memory_order_relaxed);
+        const Index hi = row_ptr[u + 1];
+        for (Index k = row_ptr[u]; k < hi; ++k) {
+          const Index v = col_ind[k];
+          if (async::write_min(dist[v], claim_dist)) {
+            nxt_flags[v].store(1, std::memory_order_relaxed);
+            nxt_list[nxt_cursor.fetch_add(1, std::memory_order_relaxed)] = v;
+            ++loc.processed;
+            loc.claimed_edges += row_ptr[v + 1] - row_ptr[v];
+          }
+        }
+      }
+    }
+  }
+
+  /// Dense level round: each unreached vertex scans its row, which under a
+  /// symmetric pattern lists its in-neighbours too, and stops at the first
+  /// one flagged in the frontier.  The frontier flags are only read, and a
+  /// vertex is written only by the thread whose block holds it, so no
+  /// write needs a CAS.
+  void pull_level(Local& loc) {
+    for (;;) {
+      const Index start =
+          work_cursor.fetch_add(kGrabDense, std::memory_order_relaxed);
+      if (start >= n) break;
+      const Index end = std::min(n, start + kGrabDense);
+      for (Index v = start; v < end; ++v) {
+        if (dist[v].load(std::memory_order_relaxed) != kInfDist) {
+          // Reached before: a flag here is left over from the level that
+          // the previous pull round read without consuming.
+          if (nxt_flags[v].load(std::memory_order_relaxed) != 0) {
+            nxt_flags[v].store(0, std::memory_order_relaxed);
+          }
+          continue;
+        }
+        const Index hi = row_ptr[v + 1];
+        for (Index k = row_ptr[v]; k < hi; ++k) {
+          if (cur_flags[col_ind[k]].load(std::memory_order_relaxed) != 0) {
+            dist[v].store(claim_dist, std::memory_order_relaxed);
+            nxt_flags[v].store(1, std::memory_order_relaxed);
+            ++loc.processed;
+            loc.claimed_edges += hi - row_ptr[v];
+            break;
+          }
+        }
+      }
+    }
+  }
+
   /// One worker's share of a round: claim frontier blocks through the
   /// work cursor until the frontier is exhausted, then merge the local
   /// counters into the shared round accumulators.
   void run_round(Local& loc) {
     testing::fault_point("async/round");
-    if (traverse_mode == Mode::kSparse) {
+    if (level) {
+      if (traverse_mode == Mode::kSparse) {
+        push_level(loc);
+      } else {
+        pull_level(loc);
+      }
+    } else if (traverse_mode == Mode::kSparse) {
       for (;;) {
         const Index start =
             work_cursor.fetch_add(kGrabSparse, std::memory_order_relaxed);
@@ -229,6 +321,8 @@ struct Engine {
     }
     processed_round.fetch_add(loc.processed, std::memory_order_relaxed);
     loc.processed = 0;
+    claimed_edges_round.fetch_add(loc.claimed_edges, std::memory_order_relaxed);
+    loc.claimed_edges = 0;
     if (loc.next_min < kInfDist) {
       async::write_min(nxt_min, loc.next_min);
       loc.next_min = kInfDist;
@@ -256,15 +350,18 @@ struct Engine {
                               static_cast<double>(n));
   }
 
-  /// Dense -> sparse transition: materialize the flag array as a list.
-  /// Serial (coordinator-only) O(n); transitions are rare — a frontier
-  /// shrinking back through the density threshold near the end of a solve.
+  /// Dense -> sparse transition: materialize the flag array as a list,
+  /// and clear the flags of the frontier just processed (a pull round
+  /// reads them without consuming them).  Serial (coordinator-only) O(n);
+  /// transitions are rare — a frontier shrinking back through the density
+  /// threshold near the end of a solve.
   Index pack_dense_to_list() {
+    // Branch-free: a dense frontier's flags are too mixed to predict.
     Index count = 0;
     for (Index v = 0; v < n; ++v) {
-      if (nxt_flags[v].load(std::memory_order_relaxed) != 0) {
-        nxt_list[count++] = v;
-      }
+      cur_flags[v].store(0, std::memory_order_relaxed);
+      nxt_list[count] = v;
+      count += nxt_flags[v].load(std::memory_order_relaxed) != 0 ? 1 : 0;
     }
     return count;
   }
@@ -297,6 +394,11 @@ struct Engine {
       return;
     }
     ++stats.outer_iterations;
+    ++stats.light_phases;
+    if (level) {
+      advance_level();
+      return;
+    }
     const std::uint64_t processed =
         processed_round.load(std::memory_order_relaxed);
     stats.relax_requests += processed;
@@ -337,6 +439,46 @@ struct Engine {
     theta = processed == 0 ? kInfDist : compute_theta(frontier_min);
   }
 
+  /// Level-round bookkeeping: the claims are the next level, counted
+  /// exactly with their edges, and the direction switch picks how the next
+  /// round traverses them.  Each level counts once in relax_requests, as
+  /// the frontier of its round, so a pulled vertex counts as one
+  /// relaxation like an expanded one.
+  void advance_level() {
+    if (traverse_mode == Mode::kDense) ++stats.pull_rounds;
+    stats.relax_requests += cur_size;
+    const Index claimed = processed_round.load(std::memory_order_relaxed);
+    const double next_claim = claim_dist + weight;
+    // An overflowing level sum leaves every unreached vertex at +inf, as
+    // Dijkstra does.
+    if (claimed == 0 || next_claim == kInfDist) {
+      flags_dirty = claimed != 0 || traverse_mode == Mode::kDense;
+      done = true;
+      return;
+    }
+    const std::uint64_t frontier_edges =
+        claimed_edges_round.load(std::memory_order_relaxed);
+    unexplored_edges -= frontier_edges;
+    const bool growing = claimed > cur_size;
+    const bool pull =
+        traverse_mode == Mode::kSparse
+            ? growing && frontier_edges * kPushToPullAlpha > unexplored_edges
+            : claimed >= cur_size || claimed * kPullToPushBeta >= n;
+    const Mode next_mode = pull ? Mode::kDense : Mode::kSparse;
+    if (traverse_mode == Mode::kDense && next_mode == Mode::kSparse) {
+      pack_dense_to_list();
+    }
+    std::swap(cur_flags, nxt_flags);
+    std::swap(cur_list, nxt_list);
+    cur_size = claimed;
+    traverse_mode = insert_mode = next_mode;
+    nxt_cursor.store(0, std::memory_order_relaxed);
+    work_cursor.store(0, std::memory_order_relaxed);
+    processed_round.store(0, std::memory_order_relaxed);
+    claimed_edges_round.store(0, std::memory_order_relaxed);
+    claim_dist = next_claim;
+  }
+
   Clock::time_point profile_now() const {
     return profile ? Clock::now() : Clock::time_point{};
   }
@@ -368,6 +510,7 @@ struct Engine {
         record_failure();
         loc.qsize = 0;
         loc.processed = 0;
+        loc.claimed_edges = 0;
         loc.next_min = kInfDist;
       }
       bar.arrive_and_wait();  // all relaxation for this round is done
@@ -419,6 +562,13 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   eng.cur_size = 1;
   eng.traverse_mode = eng.insert_mode = Mode::kSparse;
   eng.theta = eng.compute_theta(0.0);
+  if (const std::optional<double> w = plan.uniform_symmetric_weight()) {
+    eng.level = true;
+    eng.weight = *w;
+    eng.claim_dist = 0.0 + *w;
+    eng.unexplored_edges =
+        a.nvals() - (eng.row_ptr[source + 1] - eng.row_ptr[source]);
+  }
   eng.control = exec.control;
 
   // 0 is the library default: the OpenMP cores' team size where OpenMP is
@@ -464,10 +614,11 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   }
 
   // An interrupted or failed run stops with frontier flags still set
-  // (normal termination only happens on an empty frontier).  Scrub both
-  // arrays to restore the workspace's between-solves all-zero invariant
-  // before returning or rethrowing.
-  if (eng.error || eng.status != SsspStatus::kComplete) {
+  // (normal termination only happens on an empty frontier), and so may a
+  // level solve (flags_dirty).  Scrub both arrays to restore the
+  // workspace's between-solves all-zero invariant before returning or
+  // rethrowing.
+  if (eng.error || eng.status != SsspStatus::kComplete || eng.flags_dirty) {
     for (Index v = 0; v < n; ++v) {
       ws.flags0[v].store(0, std::memory_order_relaxed);
       ws.flags1[v].store(0, std::memory_order_relaxed);

@@ -21,6 +21,27 @@
 //   - a per-round threshold theta bounds which distances are relaxed now
 //     versus deferred: the next bucket boundary (floor(min/delta)+1)*delta.
 //
+// Level rounds.  When every stored weight has the same bits w and the
+// pattern is symmetric (GraphPlan::uniform_symmetric_weight), the engine
+// runs a level-synchronous BFS instead, ignoring Δ: round k holds exactly
+// the vertices at hop level k, and the next level's distance L + w is
+// computed once per round by the coordinator.  A sparse round pushes:
+// each frontier vertex claims its unreached neighbours with write_min from
+// +inf.  A dense round pulls: it sweeps the unreached vertices and stops
+// each at its first neighbour flagged in the frontier (under symmetry a
+// row lists the in-neighbours too), writing only the vertices it claims.
+// This is the masked mxv with the complement of the visited set that
+// GraphBLAST exposes as its push/pull switch; the direction follows
+// Beamer, Asanović & Patterson's rule (SC'12): pull once the next
+// frontier's edges exceed 1/14 of the edges of unreached vertices, push
+// again once it holds fewer than n/24 vertices.  A pull round reads its
+// frontier flags without consuming them; the next pull round clears them
+// in its sweep, a switch back to push clears them while packing the list,
+// and a solve that ends with flags set scrubs them, so both flag arrays
+// are still all-zero between solves.  The output is the same: every k-hop
+// path sums left to right to the same s_k, and s_k never decreases in k,
+// so the unique fixed point is s_hops(v).
+//
 // Determinism contract: the *schedule* (rounds, relaxation order, stats)
 // varies run to run, but the returned distances are bit-identical across
 // thread counts and schedules — quiescence is the unique fp min-plus
@@ -33,9 +54,14 @@
 // (termination test, dense-size estimate, mode switch, dense-to-sparse
 // pack, theta), both timed from the coordinator's view of each round;
 // heavy_seconds stays 0, the engine has no heavy phase.
-// stats.outer_iterations counts rounds and stats.relax_requests counts
-// vertices relaxed (frontier members plus local-queue hits), matching
-// the vertex-granular accounting of the deterministic engines.
+// stats.outer_iterations and stats.light_phases count rounds, and
+// stats.relax_requests counts vertices relaxed (frontier members plus
+// local-queue hits), matching the vertex-granular accounting of the
+// deterministic engines.  In level rounds each level counts once, as the
+// frontier of its round, so relax_requests is the number of reached
+// vertices whether they were pushed or pulled; stats.pull_rounds counts
+// the rounds that pulled, and these counters do not depend on the
+// schedule.
 #pragma once
 
 #include "sssp/common.hpp"

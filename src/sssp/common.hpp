@@ -26,6 +26,9 @@ struct SsspStats {
   std::uint64_t outer_iterations = 0;  ///< buckets processed (i increments)
   std::uint64_t light_phases = 0;      ///< inner-loop light relaxation rounds
   std::uint64_t relax_requests = 0;    ///< relaxation requests generated
+  /// delta_stepping_async level rounds that pulled (see async_stepping.hpp);
+  /// 0 for every other core.
+  std::uint64_t pull_rounds = 0;
   double light_seconds = 0.0;   ///< light-edge vxm / push phases
   double heavy_seconds = 0.0;   ///< heavy-edge vxm / push phases
   double vector_seconds = 0.0;  ///< point-wise vector filter/update work

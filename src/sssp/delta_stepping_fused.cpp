@@ -78,7 +78,9 @@ SsspResult delta_stepping_fused(const GraphPlan& plan, grb::Context& ctx,
     testing::fault_point("fused/round");
     ++stats.outer_iterations;
     const double lo = static_cast<double>(i) * delta;
-    const double hi = lo + delta;
+    // (i+1)Δ, where the next bucket starts: lo + Δ can round below it
+    // and leave a gap that no bucket holds.
+    const double hi = static_cast<double>(i + 1) * delta;
 
     // Fused bucket construction: tb and the frontier in one pass.
     auto vec_start = Clock::now();

@@ -54,7 +54,9 @@ SsspResult run_graphblas_loop(const grb::Matrix<double>& al,
     testing::fault_point("graphblas/round");
     ++stats.outer_iterations;
     const double lo = static_cast<double>(i) * delta;
-    const double hi = lo + delta;
+    // (i+1)Δ, where the next bucket starts: lo + Δ can round below it
+    // and leave a gap that no bucket holds.
+    const double hi = static_cast<double>(i + 1) * delta;
 
     // s = 0                                         (Fig. 2, line 32)
     s.clear();

@@ -45,7 +45,9 @@ SsspResult run_select_loop(const grb::Matrix<double>& al,
     testing::fault_point("graphblas_select/round");
     ++stats.outer_iterations;
     const double lo = static_cast<double>(i) * delta;
-    const double hi = lo + delta;
+    // (i+1)Δ, where the next bucket starts: lo + Δ can round below it
+    // and leave a gap that no bucket holds.
+    const double hi = static_cast<double>(i + 1) * delta;
     s.clear();
 
     // tbv = t restricted to the bucket, one pass.

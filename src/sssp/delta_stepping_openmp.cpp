@@ -222,7 +222,9 @@ SsspResult delta_stepping_openmp(const GraphPlan& plan, grb::Context&,
       testing::fault_point("openmp/round");
       ++stats.outer_iterations;
       const double lo = static_cast<double>(i) * delta;
-      const double hi = lo + delta;
+      // (i+1)Δ, where the next bucket starts: lo + Δ can round below it
+      // and leave a gap that no bucket holds.
+      const double hi = static_cast<double>(i + 1) * delta;
 
       // Bucket construction: evenly-sized tasks over the t vector.
       auto vec_start = Clock::now();

@@ -50,6 +50,49 @@ struct FingerprintSlot {
   std::uint64_t value = 0;
 };
 
+struct UniformSymmetricSlot {
+  std::optional<double> weight;
+};
+
+/// The weight every stored entry of `values` has, bit for bit, or nullopt
+/// (also for no entries).  Stops at the first weight that differs.
+std::optional<double> uniform_weight(std::span<const double> values) {
+  if (values.empty()) return std::nullopt;
+  const auto bits = std::bit_cast<std::uint64_t>(values[0]);
+  for (const double w : values) {
+    if (std::bit_cast<std::uint64_t>(w) != bits) return std::nullopt;
+  }
+  return values[0];
+}
+
+/// True when A(i,j) is stored exactly when A(j,i) is.  Rows are visited in
+/// ascending order, and every entry (r, c) above the diagonal must be the
+/// next unconsumed entry of row c: one cursor per row walks that row's
+/// columns below the diagonal in the ascending order in which rows r < c
+/// reach them.  When row r's turn comes, every row before it has been
+/// visited, so its cursor must already have passed all of its columns
+/// below r; an entry left there has no mirror above the diagonal.  Only
+/// the entries above the diagonal make a random access.
+bool pattern_is_symmetric(const grb::Matrix<double>& a) {
+  const Index n = a.nrows();
+  auto row_ptr = a.row_ptr();
+  auto col_ind = a.col_ind();
+  std::vector<Index> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (Index r = 0; r < n; ++r) {
+    const Index end = row_ptr[r + 1];
+    Index k = cursor[r];
+    if (k < end && col_ind[k] < r) return false;
+    if (k < end && col_ind[k] == r) ++k;  // a self-loop mirrors itself
+    for (; k < end; ++k) {
+      const Index c = col_ind[k];
+      Index& at = cursor[c];
+      if (at == row_ptr[c + 1] || col_ind[at] != r) return false;
+      ++at;
+    }
+  }
+  return true;
+}
+
 // splitmix64 finalizer — the same mixer the fault-injection seeder uses;
 // deterministic across platforms.
 std::uint64_t mix64(std::uint64_t x) {
@@ -289,6 +332,16 @@ const grb::Matrix<double>& GraphPlan::light_matrix() const {
 const grb::Matrix<double>& GraphPlan::heavy_matrix() const {
   light_heavy();
   return *peek_derived<SplitSlot>()->heavy;
+}
+
+std::optional<double> GraphPlan::uniform_symmetric_weight() const {
+  return derived<UniformSymmetricSlot>([&] {
+           auto slot = std::make_shared<UniformSymmetricSlot>();
+           const std::optional<double> w = uniform_weight(a_->raw_values());
+           if (w && pattern_is_symmetric(*a_)) slot->weight = w;
+           return slot;
+         })
+      .weight;
 }
 
 void GraphPlan::check_invariants() const {

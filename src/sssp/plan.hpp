@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <typeindex>
@@ -135,6 +136,17 @@ class GraphPlan {
   /// empty n x n matrix.
   const grb::Matrix<double>& light_matrix() const;
   const grb::Matrix<double>& heavy_matrix() const;
+
+  /// The weight w when every stored weight has w's bits and the pattern is
+  /// symmetric (A(i,j) is stored exactly when A(j,i) is); nullopt
+  /// otherwise, and for a graph with no edges.  On such a graph every
+  /// k-hop path sums to the same value, so shortest distances are
+  /// hop-count levels and the async engine runs level rounds that may
+  /// pull a vertex from its first frontier neighbour.  The weight pass
+  /// stops at the first weight that differs; the symmetry check is exact,
+  /// one cursor per row over the sorted CSR rows, O(|V| + |E|).  Built on
+  /// first use like the split and counted in setup_seconds().
+  std::optional<double> uniform_symmetric_weight() const;
 
   /// Seconds spent building this plan so far: the validation/stats scan
   /// plus every lazy materialization to date.  This is the cost a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -75,7 +76,9 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm) {
     case Algorithm::kDijkstra:
       break;  // no Δ-dependent preprocessing
     case Algorithm::kDeltaSteppingAsync:
-      break;  // raw CSR traversal — no split to warm
+      // Raw CSR traversal, no split; the level-round test is its state.
+      plan.uniform_symmetric_weight();
+      break;
   }
 }
 
@@ -114,7 +117,7 @@ bool hops_exceed(const grb::Matrix<double>& a, Index source, double budget) {
   return false;
 }
 
-Algorithm route(const GraphPlan& plan) {
+Algorithm route(const GraphPlan& plan, std::optional<double> uniform) {
   const PlanStats& stats = plan.stats();
   // Below the cutoff (or with no edges at all) the fused core's bucket
   // machinery costs more than it saves; the heap baseline is the floor.
@@ -122,11 +125,19 @@ Algorithm route(const GraphPlan& plan) {
   if (stats.num_edges == 0 || stats.num_vertices < kSmallGraphCutoff) {
     return Algorithm::kDijkstra;
   }
+  const double delta = plan.delta();
+  // One weight on a symmetric pattern (GraphPlan::uniform_symmetric_weight):
+  // the async engine's level rounds, with no hop BFS.  The light-fraction
+  // rule below, for one weight, is whether that weight is light.
+  if (uniform) {
+    return *uniform > 0.0 && *uniform <= delta
+               ? Algorithm::kDeltaSteppingAsync
+               : Algorithm::kDijkstra;
+  }
   // One pass over the weights: the light fraction (the split's rule,
   // 0 < w <= Δ, without building the split), the mean weight and the
   // minimum weight, zeros included (a loaded plan's stats come from the
   // file header, so the minimum is taken from the weights themselves).
-  const double delta = plan.delta();
   std::size_t light = 0;
   double weight_sum = 0.0;
   double min_weight = kInfDist;
@@ -137,6 +148,9 @@ Algorithm route(const GraphPlan& plan) {
   }
   const double m = static_cast<double>(stats.num_edges);
   if (static_cast<double>(light) / m <= 0.1) return Algorithm::kDijkstra;
+  // The split cores drop zero-weight edges (A_L = A ∘ (0 < A <= Δ)), so a
+  // stored zero goes to a core that traverses it.
+  if (min_weight == 0.0) return Algorithm::kDeltaSteppingAsync;
   // With no edge lighter than Δ a bucket can never refill itself, so the
   // async engine expands every vertex once and skips fused's O(n) scans.
   const Algorithm fused_or_async = min_weight >= delta
@@ -168,8 +182,11 @@ Algorithm route(const GraphPlan& plan) {
 }  // namespace
 
 Algorithm auto_algorithm(const GraphPlan& plan) {
+  // Outside the route's own slot: derived() holds the plan's lock while it
+  // builds, so a slot cannot build another.
+  const std::optional<double> uniform = plan.uniform_symmetric_weight();
   const auto make = [&] {
-    return std::make_shared<const AutoRoute>(AutoRoute{route(plan)});
+    return std::make_shared<const AutoRoute>(AutoRoute{route(plan, uniform)});
   };
   return plan.derived<AutoRoute>(make).algorithm;
 }

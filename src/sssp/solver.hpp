@@ -93,9 +93,18 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm);
 /// GraphPlan::auto_delta.  The rule, in order:
 ///   - tiny or edgeless graphs (< 4096 vertices): kDijkstra — the heap
 ///     baseline wins below the point where bucket setup amortizes;
+///   - one weight w on a symmetric pattern
+///     (GraphPlan::uniform_symmetric_weight): kDeltaSteppingAsync, whose
+///     level rounds push sparse hop levels and pull dense ones, whatever
+///     the diameter — unless w is not light (w = 0 or w > Δ), where the
+///     next rule gives kDijkstra.  No BFS runs for such a plan;
 ///   - a Δ that leaves almost no light edges (light fraction <= 10%):
 ///     kDijkstra — delta-stepping degenerates to Dijkstra-with-overhead
 ///     when nearly every relaxation is a heavy-phase one;
+///   - a stored zero weight: kDeltaSteppingAsync.  The split cores drop
+///     zero-weight edges (A_L = A ∘ (0 < A <= Δ)), so the pick is a core
+///     that traverses them, and async beat Dijkstra on a zero-edge rmat
+///     and a zero-edge grid;
 ///   - otherwise compare the two delta-stepping cores: kFused scans all n
 ///     vertices once per bucket, kBuckets relaxes about m edges in all.
 ///     With B = hops × mean weight / Δ estimating the bucket count (hops:
@@ -104,8 +113,7 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm);
 ///     kFused otherwise.  The one constant, 1, weighs a relaxation against
 ///     a vertex scan and was fitted by measurement;
 ///   - wherever that returns kFused, kDeltaSteppingAsync instead when no
-///     stored weight is lighter than Δ (zeros included: one zero weight
-///     keeps kFused).  Fig. 2's inner light loop exists only because a
+///     stored weight is lighter than Δ.  Fig. 2's inner light loop exists only because a
 ///     light edge can put a vertex back into the bucket being processed;
 ///     with every weight >= Δ a relaxation from the window [iΔ, (i+1)Δ)
 ///     lands at or past (i+1)Δ, so the async engine expands each reached
@@ -117,7 +125,8 @@ void warm_plan(const GraphPlan& plan, Algorithm algorithm);
 /// The light count, mean and minimum weight are one pass over the
 /// weights, so a plan routed to Dijkstra or async never builds its
 /// light/heavy split; the BFS stops at the first level past the hop
-/// budget.  The pick is made once per plan and counts in setup_seconds().
+/// budget.  The pick and the uniform-symmetric test are made once per plan
+/// and count in setup_seconds().
 /// Only pool-safe variants are returned (never kCapi, whose
 /// process-global operator state cannot run on concurrent workers); the
 /// one threaded pick, kDeltaSteppingAsync, runs inline and serial at

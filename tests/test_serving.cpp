@@ -422,10 +422,26 @@ TEST(Serving, AutoAlgorithmPicksAsyncWhenNoEdgeIsLighterThanDelta) {
 }
 
 TEST(Serving, AutoAlgorithmPicksBucketsForLongPaths) {
-  // 5000 unit-weight vertices in a line, auto Δ: 5000 buckets, so fused
-  // would scan all 5000 vertices 5000 times.
-  GraphPlan plan(test::path_graph(5000).to_matrix());
+  // 5000 vertices in a line, integer weights 1..100, auto Δ ~50: ~5000
+  // buckets, so fused would scan all 5000 vertices 5000 times.
+  EdgeList graph = test::path_graph(5000);
+  assign_integer_weights(graph, 1, 100, 5);
+  GraphPlan plan(graph.to_matrix());
   EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kBuckets);
+}
+
+TEST(Serving, AutoAlgorithmPicksAsyncForUniformSymmetricGraphs) {
+  // One weight on a symmetric pattern: the async engine's level rounds,
+  // however long the paths are.  The unit path above and a unit grid.
+  GraphPlan path(test::path_graph(5000).to_matrix());
+  EXPECT_EQ(sssp::auto_algorithm(path), sssp::Algorithm::kDeltaSteppingAsync);
+  EdgeList grid = generate_grid2d(100, 100);
+  grid.symmetrize();
+  grid.normalize();
+  assign_unit_weights(grid);
+  GraphPlan grid_plan(grid.to_matrix());
+  EXPECT_EQ(sssp::auto_algorithm(grid_plan),
+            sssp::Algorithm::kDeltaSteppingAsync);
 }
 
 TEST(Serving, AutoAlgorithmPicksDijkstraWhenAlmostNothingIsLight) {
@@ -450,15 +466,16 @@ TEST(Serving, AutoAlgorithmPicksAsyncWhenBucketSlotsOutnumberVertices) {
             sssp::Algorithm::kDeltaSteppingAsync);
 }
 
-TEST(Serving, AutoAlgorithmKeepsFusedWhenAnEdgeWeighsZero) {
-  // The unit star plus one zero-weight edge: the minimum stored weight is
-  // 0 < Δ, so the pick stays fused.  (The split cores do not traverse a
-  // zero-weight edge, see EdgeCases.ZeroWeightEdgesAreExcludedFromLightSet,
-  // so this also keeps what such a graph is served unchanged.)
+TEST(Serving, AutoAlgorithmPicksAsyncWhenAnEdgeWeighsZero) {
+  // The unit star plus one zero-weight edge.  The split cores do not
+  // traverse a zero-weight edge (see
+  // EdgeCases.ZeroWeightEdgesAreExcludedFromLightSet), so the pick is a
+  // core that does: async, which beat Dijkstra on a zero-edge rmat and a
+  // zero-edge grid.
   EdgeList graph = generate_star(5000);
   graph.add_edge(1, 2, 0.0);
   GraphPlan plan(graph.to_matrix());
-  EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kFused);
+  EXPECT_EQ(sssp::auto_algorithm(plan), sssp::Algorithm::kDeltaSteppingAsync);
 }
 
 // 64x64 grid, integer weights 1..100: `road`'s shape at test size (~125
@@ -488,6 +505,15 @@ grb::Matrix<double> unit_rmat_with_light_edge() {
   EdgeList graph = unit_rmat_edges();
   graph.add_edge(0, 1, 0.5);  // to_matrix keeps the minimum of duplicates
   graph.add_edge(1, 0, 0.5);
+  return graph.to_matrix();
+}
+
+// The same graph plus one zero-weight edge pair: served by a core that
+// traverses it, so the distances still equal Dijkstra's.
+grb::Matrix<double> unit_rmat_with_zero_edge() {
+  EdgeList graph = unit_rmat_edges();
+  graph.add_edge(0, 1, 0.0);
+  graph.add_edge(1, 0, 0.0);
   return graph.to_matrix();
 }
 
@@ -535,7 +561,9 @@ INSTANTIATE_TEST_SUITE_P(
         RoutedShape{"UnitRmat", &unit_rmat,
                     sssp::Algorithm::kDeltaSteppingAsync},
         RoutedShape{"UnitRmatWithLightEdge", &unit_rmat_with_light_edge,
-                    sssp::Algorithm::kFused, 1.0}),
+                    sssp::Algorithm::kFused, 1.0},
+        RoutedShape{"UnitRmatWithZeroEdge", &unit_rmat_with_zero_edge,
+                    sssp::Algorithm::kDeltaSteppingAsync}),
     [](const auto& param) { return std::string(param.param.name); });
 
 // ---------------------------------------------------------------------------

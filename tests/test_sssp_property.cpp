@@ -109,6 +109,49 @@ INSTANTIATE_TEST_SUITE_P(
         Case{Family::kTree, WeightModel::kInteger, 2.0, 52}),
     case_name);
 
+// One non-integer weight on a symmetric pattern, the async engine's level
+// rounds: every k-hop path sums left to right to the same fp value, so the
+// shortest distances are exact hop levels and every registry entry must
+// return Dijkstra's bits, at Δ below, at and above the weight.
+struct UniformCase {
+  Family family;
+  double weight;
+  double delta;  ///< kAutoDelta = the plan's heuristic
+  std::uint64_t seed;
+};
+
+std::string uniform_case_name(
+    const ::testing::TestParamInfo<UniformCase>& info) {
+  const char* fam[] = {"rmat", "erdos", "grid", "smallworld", "tree"};
+  return std::string(fam[static_cast<int>(info.param.family)]) + "_" +
+         std::to_string(info.index);
+}
+
+class UniformProperty : public ::testing::TestWithParam<UniformCase> {};
+
+TEST_P(UniformProperty, EveryRegistryEntryMatchesDijkstraBits) {
+  const UniformCase c = GetParam();
+  auto graph = make_graph({c.family, WeightModel::kUnit, c.delta, c.seed});
+  for (auto& e : graph.edges()) e.weight = c.weight;
+  const dsg::GraphPlan plan(graph.to_matrix(), c.delta);
+  ASSERT_EQ(plan.uniform_symmetric_weight(), c.weight);
+  const Index n = plan.num_vertices();
+  for (Index source : {Index{0}, n / 2, n - 1}) {
+    SCOPED_TRACE("source " + std::to_string(source));
+    dsg::test::expect_registry_matches_dijkstra_bits(plan, source);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Weights, UniformProperty,
+    ::testing::Values(UniformCase{Family::kRmat, 0.1, dsg::kAutoDelta, 61},
+                      UniformCase{Family::kRmat, 0.3, 1.0, 62},
+                      UniformCase{Family::kErdos, 0.7, 0.2, 63},
+                      UniformCase{Family::kGrid, 0.1, dsg::kAutoDelta, 64},
+                      UniformCase{Family::kSmallWorld, 2.5, 1.0, 65},
+                      UniformCase{Family::kTree, 1.0 / 3.0, 2.0, 66}),
+    uniform_case_name);
+
 // Delta sweep on one fixed weighted graph: the answer must be independent
 // of delta (delta only affects scheduling).
 class DeltaSweep : public ::testing::TestWithParam<double> {};

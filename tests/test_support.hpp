@@ -227,7 +227,8 @@ inline const std::vector<Impl>& all_sssp_impls() {
 /// Every registry entry (the threaded ones at 2 and 4 threads) returns
 /// Dijkstra's distances on `plan` bit for bit, not merely within a
 /// tolerance.  Use it on integer-weighted graphs, where every path sum is
-/// exact.
+/// exact, or on graphs whose edges all weigh the same, where every path
+/// of k hops sums to the same value.
 inline void expect_registry_matches_dijkstra_bits(const GraphPlan& plan,
                                                   Index source) {
   const SsspResult want =
