@@ -15,8 +15,8 @@
 // select) over a 75%-dense length-n vector, pinned to the sparse
 // representation vs pinned to the dense (bitmap) representation — the
 // delta-stepping tentative-distance access pattern.  Outputs are verified
-// bit-identical between the two paths, and between the serial and OpenMP
-// dense kernels, before timing.
+// bit-identical between the two paths, and between the dense stage and
+// the compaction kernel, before timing.
 // Gate: geometric-mean dense-path speedup >= 2x.
 //
 // Section 3: the word-packed bitmap layout itself.  The probe-bound
@@ -241,8 +241,7 @@ int main(int argc, char** argv) {
   double speedup_product = 1.0;
   for (const auto& op : pointwise_ops) {
     // Bit-identity first, on fresh outputs and fresh contexts: sparse vs
-    // dense representation, and serial vs OpenMP dense kernels (the word
-    // sweeps must be bit-identical for any thread count).
+    // dense representation, then the dense stage vs compaction.
     {
       grb::Context cs, cd;
       cs.auto_representation = false;
@@ -257,29 +256,16 @@ int main(int argc, char** argv) {
         identical = false;
       }
 
-      // Serial vs OpenMP, with the dense-output heuristic pinned to each
-      // of its two paths in turn — crossover 0 forces the word-packed
-      // dense stage, 1 forces the compaction kernel — so both parallel
-      // kernels are exercised regardless of what the estimator would pick.
+      // Dense stage vs compaction, with the dense-output heuristic pinned
+      // to each of its two paths in turn — crossover 0 forces the
+      // word-packed dense stage, 1 forces the compaction kernel — so both
+      // kernels are checked regardless of what the estimator would pick.
+      grb::Context cpin;
+      cpin.auto_representation = false;
       for (double crossover : {0.0, 1.0}) {
-        grb::Context cser, cpar;
-        cser.auto_representation = false;
-        cpar.auto_representation = false;
-        cser.dense_output_crossover = crossover;
-        cpar.dense_output_crossover = crossover;
-        cser.pointwise_parallel_threshold = n + 1;  // force serial kernels
-        cpar.pointwise_parallel_threshold = 1;      // force OpenMP kernels
+        cpin.dense_output_crossover = crossover;
         grb::Vector<double> w1 = t_dense;
-        grb::Vector<double> w2 = t_dense;
-        op.run(cser, w1, t_dense, m_dense);
-        op.run(cpar, w2, t_dense, m_dense);
-        if (!(w1 == w2)) {
-          std::cerr << "FAILED: " << op.name
-                    << " serial and OpenMP dense kernels disagree "
-                       "(crossover="
-                    << crossover << ")\n";
-          identical = false;
-        }
+        op.run(cpin, w1, t_dense, m_dense);
         if (!(w1 == wd)) {
           std::cerr << "FAILED: " << op.name
                     << " dense-stage/compaction paths disagree (crossover="

@@ -53,8 +53,8 @@
 #   spmspv_pointwise
 #                  bench_spmspv: point-wise ops over a 75%-dense vector,
 #                  sparse vs dense representation (gate: geomean >= 2x;
-#                  outputs bit-identical, sparse vs dense and serial vs
-#                  OpenMP, at every size).
+#                  outputs bit-identical, sparse vs dense and dense stage
+#                  vs compaction, at every size).
 #   spmspv_wordpack
 #                  bench_spmspv: probe-bound dense ops, byte-bitmap
 #                  reference vs word-packed (gate: geomean >= 1.3x).

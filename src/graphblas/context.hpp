@@ -21,8 +21,7 @@
 // forward to a thread-local default_context(), so existing callers (and the
 // C API, which has no context parameter) get workspace reuse transparently.
 // A Context is NOT thread-safe: use one per thread, or the per-thread
-// default.  The OpenMP vxm kernel partitions its per-thread accumulators
-// internally from a single caller-owned Context.
+// default.  Every kernel runs on the calling thread.
 #pragma once
 
 #include <algorithm>
@@ -139,18 +138,6 @@ struct DenseWriteStage {
   }
 };
 
-/// Per-thread accumulators plus merge staging for the OpenMP push kernel.
-/// Each thread scatters into its own accumulator; threads then merge
-/// disjoint index ranges of all accumulators into `merged`, collecting each
-/// range's indices (sorted per range) in `range_ind`.  Concatenating ranges
-/// in order yields a fully sorted result without a global sort.
-template <typename Z>
-struct ThreadScatterPool {
-  std::vector<ScatterAccumulator<Z>> local;
-  ScatterAccumulator<Z> merged;
-  std::vector<std::vector<Index>> range_ind;
-};
-
 }  // namespace detail
 
 /// Reusable operation workspace: a heterogeneous registry of scratch
@@ -178,19 +165,6 @@ class Context {
   /// Releases every workspace buffer (memory pressure relief); the Context
   /// remains usable and will re-grow on demand.
   void release() { slots_.clear(); }
-
-  /// Input nvals at/above which vxm switches to the OpenMP per-thread
-  /// accumulator kernel (when built with DSG_HAVE_OPENMP).  Below it, the
-  /// serial kernel's lack of merge overhead wins.  Tests lower this to
-  /// exercise the parallel path on small inputs.
-  Index vxm_parallel_threshold = 4096;
-
-  /// Input nvals at/above which the point-wise vector ops (apply / select
-  /// / ewise_add / ewise_mult) run their OpenMP two-pass kernels.  The
-  /// parallel kernels emit entries in exactly the serial order, so results
-  /// are bit-identical either way.  Tests lower this to exercise the
-  /// parallel path on small inputs.
-  Index pointwise_parallel_threshold = 16384;
 
   // --- Storage-representation policy (see Vector::to_dense/to_sparse). -----
   //

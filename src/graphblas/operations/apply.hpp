@@ -14,7 +14,6 @@
 #include "graphblas/mask.hpp"
 #include "graphblas/matrix.hpp"
 #include "graphblas/operations/dense_compact.hpp"
-#include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
@@ -25,9 +24,7 @@ namespace detail {
 /// Dense-representation apply kernel: word-packed sweep of u's bitmap with
 /// the mask pushed down one 64-lane word at a time (zero words skipped
 /// whole, probe applied via probe_writable_word, op run only at surviving
-/// bits via ctz iteration), staging a dense result.  Parallelizes over
-/// contiguous word ranges — each word is written by exactly one thread, so
-/// the result is bit-identical to serial for any thread count.
+/// bits via ctz iteration), staging a dense result.
 template <typename W, typename Probe, typename Accum, typename UnaryOp,
           typename U>
 void apply_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
@@ -55,21 +52,6 @@ void apply_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
           });
       return static_cast<Index>(std::popcount(m));
     };
-#if defined(DSG_HAVE_OPENMP)
-    if (n >= ctx.pointwise_parallel_threshold && omp_get_max_threads() > 1) {
-      std::int64_t count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : count)
-      for (std::ptrdiff_t pw = 0; pw < static_cast<std::ptrdiff_t>(nwords);
-           ++pw) {
-        count += static_cast<std::int64_t>(
-            word_kernel(static_cast<std::size_t>(pw)));
-      }
-      nnz = static_cast<Index>(count);
-      masked_write_vector_dense(ctx, w, stage, nnz, probe, accum,
-                                desc.replace, /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     for (std::size_t wd = 0; wd < nwords; ++wd) nnz += word_kernel(wd);
   }
   masked_write_vector_dense(ctx, w, stage, nnz, probe, accum, desc.replace,
@@ -118,7 +100,7 @@ void apply(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
           auto uval = u.dense_values();
           Vector<Z> z(u.size());
           detail::compact_dense_to_sparse(
-              ctx, z, u, probe, [](Index) { return true; },
+              z, u, probe, [](Index) { return true; },
               [&](Index i) {
                 return static_cast<storage_of_t<Z>>(
                     op(static_cast<U>(uval[i])));
@@ -138,54 +120,6 @@ void apply(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
     auto ui = u.indices();
     auto uv = u.values();
     const std::size_t nu = ui.size();
-#if defined(DSG_HAVE_OPENMP)
-    // Parallel two-pass kernel (bit-identical to serial; see
-    // pointwise_parallel.hpp) once the input clears the Context threshold.
-    if (nu >= static_cast<std::size_t>(ctx.pointwise_parallel_threshold) &&
-        omp_get_max_threads() > 1) {
-      if constexpr (std::is_same_v<std::decay_t<decltype(probe)>,
-                                   detail::AlwaysTrueProbe>) {
-        // Output structure equals input structure: one parallel transform.
-        zi.assign(ui.begin(), ui.end());
-        zv.resize(nu);
-#pragma omp parallel for schedule(static)
-        for (std::ptrdiff_t k = 0; k < static_cast<std::ptrdiff_t>(nu); ++k) {
-          zv[static_cast<std::size_t>(k)] = static_cast<storage_of_t<Z>>(
-              op(static_cast<U>(uv[static_cast<std::size_t>(k)])));
-        }
-      } else {
-        const int chunks = detail::pointwise_chunks(nu);
-        detail::parallel_chunked_compact(
-            chunks,
-            [&](int t) {
-              const auto [b, e] = detail::chunk_range(nu, t, chunks);
-              std::size_t count = 0;
-              for (std::size_t k = b; k < e; ++k) {
-                if (probe(ui[k])) ++count;
-              }
-              return count;
-            },
-            [&](std::size_t total) {
-              zi.resize(total);
-              zv.resize(total);
-            },
-            [&](int t, std::size_t off) {
-              const auto [b, e] = detail::chunk_range(nu, t, chunks);
-              for (std::size_t k = b; k < e; ++k) {
-                if (!probe(ui[k])) continue;  // mask push-down
-                zi[off] = ui[k];
-                zv[off] = static_cast<storage_of_t<Z>>(
-                    op(static_cast<U>(uv[k])));
-                ++off;
-              }
-            });
-      }
-      detail::masked_write_vector(ctx, w, std::move(z), probe, accum,
-                                  desc.replace,
-                                  /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     if constexpr (std::is_same_v<std::decay_t<decltype(probe)>,
                                  detail::AlwaysTrueProbe>) {
       // Unmasked fast path: bulk-copy the structure, transform the values.

@@ -25,7 +25,6 @@
 #include "graphblas/bitmap.hpp"
 #include "graphblas/context.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
@@ -81,12 +80,10 @@ bool dense_output_prefers_compaction(const Context& ctx, const Vector<U>& u,
 /// representation u that pass the pushed-down probe and `keep(i)`, with
 /// values produced by `emit(i)`.  Walks the bitmap word-at-a-time (zero
 /// words skipped outright, probe applied via probe_writable_word) and
-/// ctz-iterates survivors.  Above the Context threshold the walk runs the
-/// deterministic two-pass OpenMP scheme over contiguous *word* ranges, so
-/// the output is bit-identical to serial for any thread count.
+/// ctz-iterates survivors.
 template <typename Z, typename Probe, typename U, typename Keep,
           typename Emit>
-void compact_dense_to_sparse(Context& ctx, Vector<Z>& z, const Vector<U>& u,
+void compact_dense_to_sparse(Vector<Z>& z, const Vector<U>& u,
                              const Probe& probe, const Keep& keep,
                              const Emit& emit) {
   auto ubit = u.dense_bitmap();
@@ -108,41 +105,6 @@ void compact_dense_to_sparse(Context& ctx, Vector<Z>& z, const Vector<U>& u,
     return out;
   };
 
-#if defined(DSG_HAVE_OPENMP)
-  if (u.size() >= ctx.pointwise_parallel_threshold &&
-      omp_get_max_threads() > 1) {
-    const int chunks = pointwise_chunks(static_cast<std::size_t>(u.size()));
-    parallel_chunked_compact(
-        chunks,
-        [&](int t) {
-          const auto [w0, w1] = chunk_range(nwords, t, chunks);
-          std::size_t count = 0;
-          for (std::size_t wd = w0; wd < w1; ++wd) {
-            count += static_cast<std::size_t>(std::popcount(survivors(wd)));
-          }
-          return count;
-        },
-        [&](std::size_t total) {
-          zi.resize(total);
-          zv.resize(total);
-        },
-        [&](int t, std::size_t off) {
-          const auto [w0, w1] = chunk_range(nwords, t, chunks);
-          for (std::size_t wd = w0; wd < w1; ++wd) {
-            bitmap_for_each_in_word(
-                survivors(wd), static_cast<Index>(wd) * kBitmapWordBits,
-                [&](Index i) {
-                  zi[off] = i;
-                  zv[off] = emit(i);
-                  ++off;
-                });
-          }
-        });
-    return;
-  }
-#else
-  (void)ctx;
-#endif  // DSG_HAVE_OPENMP
   zi.reserve(static_cast<std::size_t>(u.nvals()));
   zv.reserve(static_cast<std::size_t>(u.nvals()));
   for (std::size_t wd = 0; wd < nwords; ++wd) {

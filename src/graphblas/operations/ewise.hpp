@@ -13,55 +13,16 @@
 // both inputs do.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <span>
-#include <vector>
 
 #include "graphblas/bitmap.hpp"
 #include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
-#include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
 namespace grb {
-
-#if defined(DSG_HAVE_OPENMP)
-
-namespace detail {
-
-/// Chunk boundaries for a parallel two-stream merge: the index domain
-/// [0, n) is cut evenly and each cut located in both entry streams.  Equal
-/// indices land in the same chunk on both sides (cuts are by index value),
-/// so union/intersection pairing is preserved chunk-locally and the
-/// concatenated result is bit-identical to the serial merge.
-struct MergeCuts {
-  int chunks = 1;
-  std::vector<std::size_t> ua, vb;  // chunks + 1 stream offsets each
-};
-
-template <typename USpan, typename VSpan>
-MergeCuts merge_cuts(Index n, const USpan& ui, const VSpan& vi) {
-  MergeCuts c;
-  c.chunks = pointwise_chunks(ui.size() + vi.size());
-  const auto nc = static_cast<std::size_t>(c.chunks);
-  c.ua.resize(nc + 1);
-  c.vb.resize(nc + 1);
-  for (std::size_t t = 0; t <= nc; ++t) {
-    const Index bound = static_cast<Index>(
-        static_cast<std::size_t>(n) * t / nc);
-    c.ua[t] = static_cast<std::size_t>(
-        std::lower_bound(ui.begin(), ui.end(), bound) - ui.begin());
-    c.vb[t] = static_cast<std::size_t>(
-        std::lower_bound(vi.begin(), vi.end(), bound) - vi.begin());
-  }
-  return c;
-}
-
-}  // namespace detail
-
-#endif  // DSG_HAVE_OPENMP
 
 namespace detail {
 
@@ -94,19 +55,13 @@ void ewise_add_dense_inplace(Vector<W>& w, BinaryOp op, const Vector<V>& v) {
 /// entries as the cursor crosses each word, so words where neither side
 /// stores anything cost two loads.  Fills `stage` and returns the stored
 /// count.
-///
-/// Both the both-dense and the mixed dense/sparse shapes parallelize over
-/// contiguous *word* ranges — each chunk rebinds its sparse cursors with
-/// one binary search, and every output word has exactly one writer — so
-/// the result is bit-identical to serial for any thread count.
 template <typename Z, typename Probe, typename BinaryOp, typename U,
           typename V>
-Index ewise_add_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
-                             const Probe& probe, BinaryOp op,
-                             const Vector<U>& u, const Vector<V>& v) {
+Index ewise_add_dense_kernel(DenseKernelStage<Z>& stage, const Probe& probe,
+                             BinaryOp op, const Vector<U>& u,
+                             const Vector<V>& v) {
   const Index n = u.size();
   if constexpr (std::is_same_v<Probe, AlwaysFalseProbe>) {
-    (void)ctx;
     (void)op;
     (void)n;
     return 0;
@@ -125,109 +80,84 @@ Index ewise_add_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
     auto vsv = vd ? std::span<const storage_of_t<V>>{} : v.values();
     const std::size_t nwords = bitmap_words(n);
 
-    // Merges words [w0, w1) with the sparse-side cursors positioned at the
-    // first entry >= w0 * 64; returns the stored count of the range.
-    auto range_kernel = [&](std::size_t w0, std::size_t w1, std::size_t a,
-                            std::size_t b) -> Index {
-      Index nnz = 0;
-      for (std::size_t wd = w0; wd < w1; ++wd) {
-        const Index base = static_cast<Index>(wd) * kBitmapWordBits;
-        const Index bound = base + kBitmapWordBits;
-        BitmapWord uwp;
-        const std::size_t a0 = a;
-        if (ud) {
-          uwp = ub[wd];
-        } else {
-          uwp = 0;
-          while (a < ui.size() && ui[a] < bound) {
-            uwp |= BitmapWord{1} << (ui[a] & 63);
-            ++a;
-          }
-        }
-        BitmapWord vwp;
-        const std::size_t b0 = b;
-        if (vd) {
-          vwp = vb[wd];
-        } else {
-          vwp = 0;
-          while (b < vi.size() && vi[b] < bound) {
-            vwp |= BitmapWord{1} << (vi[b] & 63);
-            ++b;
-          }
-        }
-        const BitmapWord cand = uwp | vwp;
-        if (cand == 0) continue;  // whole-word skip of empty regions
-        const BitmapWord m = cand & probe_writable_word(probe, wd, cand);
-        if (m == 0) continue;
-        stage.bit[wd] = m;
-        nnz += static_cast<Index>(std::popcount(m));
-        // Values by side, each a whole-word split of m: both-lanes combine,
-        // one-sided lanes of a dense operand are copied by ctz walk, and a
-        // sparse operand rides its [·0, ·) entry range once.
-        const BitmapWord both = m & uwp & vwp;
-        const BitmapWord uonly = m & uwp & ~vwp;
-        const BitmapWord vonly = m & vwp & ~uwp;
-        auto put = [&](Index i, const auto& x) {
-          stage.val[i] = static_cast<storage_of_t<Z>>(static_cast<Z>(x));
-        };
-        if (ud && vd) {
-          bitmap_for_each_in_word(
-              both, base, [&](Index i) { put(i, op(udv[i], vdv[i])); });
-        } else if (ud) {
-          for (std::size_t k = b0; k < b; ++k) {
-            const Index i = vi[k];
-            const BitmapWord lane = BitmapWord{1} << (i & 63);
-            if (both & lane) {
-              put(i, op(udv[i], vsv[k]));
-            } else if (vonly & lane) {
-              put(i, vsv[k]);
-            }
-          }
-        } else {
-          for (std::size_t k = a0; k < a; ++k) {
-            const Index i = ui[k];
-            const BitmapWord lane = BitmapWord{1} << (i & 63);
-            if (both & lane) {
-              put(i, op(usv[k], vdv[i]));
-            } else if (uonly & lane) {
-              put(i, usv[k]);
-            }
-          }
-        }
-        if (ud) {
-          bitmap_for_each_in_word(uonly, base,
-                                  [&](Index i) { put(i, udv[i]); });
-        }
-        if (vd) {
-          bitmap_for_each_in_word(vonly, base,
-                                  [&](Index i) { put(i, vdv[i]); });
+    // Sparse-side cursors: a and b sit at the first entry of the current
+    // word.
+    std::size_t a = 0, b = 0;
+    Index nnz = 0;
+    for (std::size_t wd = 0; wd < nwords; ++wd) {
+      const Index base = static_cast<Index>(wd) * kBitmapWordBits;
+      const Index bound = base + kBitmapWordBits;
+      BitmapWord uwp;
+      const std::size_t a0 = a;
+      if (ud) {
+        uwp = ub[wd];
+      } else {
+        uwp = 0;
+        while (a < ui.size() && ui[a] < bound) {
+          uwp |= BitmapWord{1} << (ui[a] & 63);
+          ++a;
         }
       }
-      return nnz;
-    };
-
-#if defined(DSG_HAVE_OPENMP)
-    if (n >= ctx.pointwise_parallel_threshold && omp_get_max_threads() > 1) {
-      const int chunks = pointwise_chunks(static_cast<std::size_t>(n));
-      std::int64_t total = 0;
-#pragma omp parallel for schedule(static, 1) reduction(+ : total)
-      for (int t = 0; t < chunks; ++t) {
-        const auto [w0, w1] = chunk_range(nwords, t, chunks);
-        const Index lo = static_cast<Index>(w0) * kBitmapWordBits;
-        const std::size_t a =
-            ud ? 0
-               : static_cast<std::size_t>(
-                     std::lower_bound(ui.begin(), ui.end(), lo) - ui.begin());
-        const std::size_t b =
-            vd ? 0
-               : static_cast<std::size_t>(
-                     std::lower_bound(vi.begin(), vi.end(), lo) - vi.begin());
-        total += static_cast<std::int64_t>(range_kernel(w0, w1, a, b));
+      BitmapWord vwp;
+      const std::size_t b0 = b;
+      if (vd) {
+        vwp = vb[wd];
+      } else {
+        vwp = 0;
+        while (b < vi.size() && vi[b] < bound) {
+          vwp |= BitmapWord{1} << (vi[b] & 63);
+          ++b;
+        }
       }
-      return static_cast<Index>(total);
+      const BitmapWord cand = uwp | vwp;
+      if (cand == 0) continue;  // whole-word skip of empty regions
+      const BitmapWord m = cand & probe_writable_word(probe, wd, cand);
+      if (m == 0) continue;
+      stage.bit[wd] = m;
+      nnz += static_cast<Index>(std::popcount(m));
+      // Values by side, each a whole-word split of m: both-lanes combine,
+      // one-sided lanes of a dense operand are copied by ctz walk, and a
+      // sparse operand rides its [·0, ·) entry range once.
+      const BitmapWord both = m & uwp & vwp;
+      const BitmapWord uonly = m & uwp & ~vwp;
+      const BitmapWord vonly = m & vwp & ~uwp;
+      auto put = [&](Index i, const auto& x) {
+        stage.val[i] = static_cast<storage_of_t<Z>>(static_cast<Z>(x));
+      };
+      if (ud && vd) {
+        bitmap_for_each_in_word(
+            both, base, [&](Index i) { put(i, op(udv[i], vdv[i])); });
+      } else if (ud) {
+        for (std::size_t k = b0; k < b; ++k) {
+          const Index i = vi[k];
+          const BitmapWord lane = BitmapWord{1} << (i & 63);
+          if (both & lane) {
+            put(i, op(udv[i], vsv[k]));
+          } else if (vonly & lane) {
+            put(i, vsv[k]);
+          }
+        }
+      } else {
+        for (std::size_t k = a0; k < a; ++k) {
+          const Index i = ui[k];
+          const BitmapWord lane = BitmapWord{1} << (i & 63);
+          if (both & lane) {
+            put(i, op(usv[k], vdv[i]));
+          } else if (uonly & lane) {
+            put(i, usv[k]);
+          }
+        }
+      }
+      if (ud) {
+        bitmap_for_each_in_word(uonly, base,
+                                [&](Index i) { put(i, udv[i]); });
+      }
+      if (vd) {
+        bitmap_for_each_in_word(vonly, base,
+                                [&](Index i) { put(i, vdv[i]); });
+      }
     }
-#endif  // DSG_HAVE_OPENMP
-    return range_kernel(0, nwords, 0, 0);
+    return nnz;
   }
 }
 
@@ -288,7 +218,7 @@ void ewise_add(Context& ctx, Vector<W>& w, const Mask& mask,
       auto& stage = ctx.get<detail::DenseKernelStage<Z>>();
       stage.reset(u.size());
       const Index nnz =
-          detail::ewise_add_dense_kernel(ctx, stage, probe, op, u, v);
+          detail::ewise_add_dense_kernel(stage, probe, op, u, v);
       detail::masked_write_vector_dense(ctx, w, stage, nnz, probe, accum,
                                         desc.replace, /*z_prefiltered=*/true);
       return;
@@ -303,77 +233,6 @@ void ewise_add(Context& ctx, Vector<W>& w, const Mask& mask,
     auto uv = u.values();
     auto vi = v.indices();
     auto vv = v.values();
-#if defined(DSG_HAVE_OPENMP)
-    // Parallel two-pass union merge (bit-identical to serial; see
-    // pointwise_parallel.hpp) once the inputs clear the Context threshold.
-    if (ui.size() + vi.size() >=
-            static_cast<std::size_t>(ctx.pointwise_parallel_threshold) &&
-        omp_get_max_threads() > 1) {
-      const auto cuts = detail::merge_cuts(u.size(), ui, vi);
-      detail::parallel_chunked_compact(
-          cuts.chunks,
-          [&](int t) {
-            std::size_t a = cuts.ua[static_cast<std::size_t>(t)];
-            std::size_t b = cuts.vb[static_cast<std::size_t>(t)];
-            const std::size_t a1 = cuts.ua[static_cast<std::size_t>(t) + 1];
-            const std::size_t b1 = cuts.vb[static_cast<std::size_t>(t) + 1];
-            std::size_t count = 0;
-            while (a < a1 || b < b1) {
-              if (a < a1 && (b >= b1 || ui[a] < vi[b])) {
-                if (probe(ui[a])) ++count;
-                ++a;
-              } else if (b < b1 && (a >= a1 || vi[b] < ui[a])) {
-                if (probe(vi[b])) ++count;
-                ++b;
-              } else {
-                if (probe(ui[a])) ++count;
-                ++a;
-                ++b;
-              }
-            }
-            return count;
-          },
-          [&](std::size_t total) {
-            zi.resize(total);
-            zv.resize(total);
-          },
-          [&](int t, std::size_t off) {
-            std::size_t a = cuts.ua[static_cast<std::size_t>(t)];
-            std::size_t b = cuts.vb[static_cast<std::size_t>(t)];
-            const std::size_t a1 = cuts.ua[static_cast<std::size_t>(t) + 1];
-            const std::size_t b1 = cuts.vb[static_cast<std::size_t>(t) + 1];
-            while (a < a1 || b < b1) {
-              if (a < a1 && (b >= b1 || ui[a] < vi[b])) {
-                if (probe(ui[a])) {
-                  zi[off] = ui[a];
-                  zv[off] = static_cast<Z>(uv[a]);  // lone operand
-                  ++off;
-                }
-                ++a;
-              } else if (b < b1 && (a >= a1 || vi[b] < ui[a])) {
-                if (probe(vi[b])) {
-                  zi[off] = vi[b];
-                  zv[off] = static_cast<Z>(vv[b]);
-                  ++off;
-                }
-                ++b;
-              } else {
-                if (probe(ui[a])) {
-                  zi[off] = ui[a];
-                  zv[off] = static_cast<Z>(op(uv[a], vv[b]));
-                  ++off;
-                }
-                ++a;
-                ++b;
-              }
-            }
-          });
-      detail::masked_write_vector(ctx, w, std::move(z), probe, accum,
-                                  desc.replace,
-                                  /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     std::size_t a = 0, b = 0;
     while (a < ui.size() || b < vi.size()) {
       if (a < ui.size() && (b >= vi.size() || ui[a] < vi[b])) {
@@ -429,19 +288,14 @@ namespace detail {
 
 /// Both-dense intersection kernel: one whole-word bitmap AND per 64
 /// positions into `stage`, op run only at surviving bits (ctz iteration).
-/// Parallelizes over contiguous word ranges (one writer per word),
-/// bit-identical to serial.
 template <typename Z, typename Probe, typename BinaryOp, typename U,
           typename V>
-Index ewise_mult_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
-                              const Probe& probe, BinaryOp op,
-                              const Vector<U>& u, const Vector<V>& v) {
-  const Index n = u.size();
+Index ewise_mult_dense_kernel(DenseKernelStage<Z>& stage, const Probe& probe,
+                              BinaryOp op, const Vector<U>& u,
+                              const Vector<V>& v) {
   Index nnz = 0;
   if constexpr (std::is_same_v<Probe, AlwaysFalseProbe>) {
-    (void)ctx;
     (void)op;
-    (void)n;
     return 0;
   } else {
     auto ub = u.dense_bitmap();
@@ -460,18 +314,6 @@ Index ewise_mult_dense_kernel(Context& ctx, DenseKernelStage<Z>& stage,
           [&](Index i) { stage.val[i] = op(uv[i], vv[i]); });
       return static_cast<Index>(std::popcount(m));
     };
-#if defined(DSG_HAVE_OPENMP)
-    if (n >= ctx.pointwise_parallel_threshold && omp_get_max_threads() > 1) {
-      std::int64_t count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : count)
-      for (std::ptrdiff_t pw = 0; pw < static_cast<std::ptrdiff_t>(nwords);
-           ++pw) {
-        count += static_cast<std::int64_t>(
-            word_kernel(static_cast<std::size_t>(pw)));
-      }
-      return static_cast<Index>(count);
-    }
-#endif  // DSG_HAVE_OPENMP
     for (std::size_t wd = 0; wd < nwords; ++wd) nnz += word_kernel(wd);
     return nnz;
   }
@@ -521,7 +363,7 @@ void ewise_mult(Context& ctx, Vector<W>& w, const Mask& mask,
       auto& stage = ctx.get<detail::DenseKernelStage<Z>>();
       stage.reset(u.size());
       const Index nnz =
-          detail::ewise_mult_dense_kernel(ctx, stage, probe, op, u, v);
+          detail::ewise_mult_dense_kernel(stage, probe, op, u, v);
       detail::masked_write_vector_dense(ctx, w, stage, nnz, probe, accum,
                                         desc.replace, /*z_prefiltered=*/true);
       return;
@@ -569,64 +411,6 @@ void ewise_mult(Context& ctx, Vector<W>& w, const Mask& mask,
     auto uv = u.values();
     auto vi = v.indices();
     auto vv = v.values();
-#if defined(DSG_HAVE_OPENMP)
-    // Parallel two-pass intersection merge (bit-identical to serial).
-    if (ui.size() + vi.size() >=
-            static_cast<std::size_t>(ctx.pointwise_parallel_threshold) &&
-        omp_get_max_threads() > 1) {
-      const auto cuts = detail::merge_cuts(u.size(), ui, vi);
-      detail::parallel_chunked_compact(
-          cuts.chunks,
-          [&](int t) {
-            std::size_t a = cuts.ua[static_cast<std::size_t>(t)];
-            std::size_t b = cuts.vb[static_cast<std::size_t>(t)];
-            const std::size_t a1 = cuts.ua[static_cast<std::size_t>(t) + 1];
-            const std::size_t b1 = cuts.vb[static_cast<std::size_t>(t) + 1];
-            std::size_t count = 0;
-            while (a < a1 && b < b1) {
-              if (ui[a] < vi[b]) {
-                ++a;
-              } else if (vi[b] < ui[a]) {
-                ++b;
-              } else {
-                if (probe(ui[a])) ++count;
-                ++a;
-                ++b;
-              }
-            }
-            return count;
-          },
-          [&](std::size_t total) {
-            zi.resize(total);
-            zv.resize(total);
-          },
-          [&](int t, std::size_t off) {
-            std::size_t a = cuts.ua[static_cast<std::size_t>(t)];
-            std::size_t b = cuts.vb[static_cast<std::size_t>(t)];
-            const std::size_t a1 = cuts.ua[static_cast<std::size_t>(t) + 1];
-            const std::size_t b1 = cuts.vb[static_cast<std::size_t>(t) + 1];
-            while (a < a1 && b < b1) {
-              if (ui[a] < vi[b]) {
-                ++a;
-              } else if (vi[b] < ui[a]) {
-                ++b;
-              } else {
-                if (probe(ui[a])) {
-                  zi[off] = ui[a];
-                  zv[off] = op(uv[a], vv[b]);
-                  ++off;
-                }
-                ++a;
-                ++b;
-              }
-            }
-          });
-      detail::masked_write_vector(ctx, w, std::move(z), probe, accum,
-                                  desc.replace,
-                                  /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     std::size_t a = 0, b = 0;
     while (a < ui.size() && b < vi.size()) {
       if (ui[a] < vi[b]) {

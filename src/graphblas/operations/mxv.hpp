@@ -10,12 +10,9 @@
 // is the push-style SpMSpV that SuiteSparse uses for row-major vxm; its cost
 // is proportional to the sum of the out-degrees of the frontier.  The
 // accumulator lives in the grb::Context workspace (sparse reset, see
-// context.hpp), the mask probe is pushed down into the scatter loop so
-// non-writable columns are never computed, and frontiers above the
-// Context's threshold run the OpenMP per-thread-accumulator kernel.
+// context.hpp), and the mask probe is pushed down into the scatter loop so
+// non-writable columns are never computed.
 #pragma once
-
-#include <vector>
 
 #include "graphblas/context.hpp"
 #include "graphblas/descriptor.hpp"
@@ -25,135 +22,9 @@
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
-#if defined(DSG_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace grb {
 
 namespace detail {
-
-#if defined(DSG_HAVE_OPENMP)
-
-/// Parallel push kernel: u's entries are split into degree-balanced
-/// contiguous chunks, each thread scatters its chunk into a private
-/// accumulator, then threads merge disjoint column ranges of all private
-/// accumulators into one result.  Merging chunk s = 0..nt-1 in order feeds
-/// each column its contributions in the same ascending-row sequence as the
-/// serial kernel, but associated per chunk — bit-identical to serial for
-/// exactly-associative adds (min/max/or/and, the delta-stepping case), and
-/// within rounding of it for floating-point sums.  Semiring ops must not
-/// throw (an exception would escape the parallel region and terminate).
-template <typename Z, typename SR, typename U, typename A, typename Probe>
-Vector<Z> vxm_kernel_parallel(Context& ctx, const SR& sr, const Vector<U>& u,
-                              const Matrix<A>& a, const Probe& probe) {
-  const Index n = a.ncols();
-  auto ui = u.indices();
-  auto uv = u.values();
-  const std::size_t nu = ui.size();
-
-  const int want = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, omp_get_max_threads())),
-      std::max<std::size_t>(1, nu)));
-
-  auto& pool = ctx.get<ThreadScatterPool<Z>>();
-  auto& merged = pool.merged;
-  merged.reset(n);
-
-  // num_threads is only an upper bound (dynamic teams, thread limits,
-  // nesting can all shrink it), so the chunking is derived from the team
-  // size actually delivered, inside the region: chunk t covers u entries
-  // [cuts[t], cuts[t+1]), cut so chunks carry roughly equal out-degree
-  // sums (entry-count chunks starve on power-law graphs).
-  std::vector<std::size_t> cuts;
-  int team = 1;
-
-#pragma omp parallel num_threads(want)
-  {
-#pragma omp single
-    {
-      team = omp_get_num_threads();
-      const auto nt = static_cast<std::size_t>(team);
-      cuts.assign(nt + 1, 0);
-      std::uint64_t total = 0;
-      for (std::size_t k = 0; k < nu; ++k) total += a.row_nvals(ui[k]);
-      std::uint64_t seen = 0;
-      std::size_t k = 0;
-      for (std::size_t c = 1; c < nt; ++c) {
-        const std::uint64_t target = total * c / nt;
-        while (k < nu && seen < target) seen += a.row_nvals(ui[k++]);
-        cuts[c] = k;
-      }
-      cuts[nt] = nu;
-      if (pool.local.size() < nt) pool.local.resize(nt);
-      if (pool.range_ind.size() < nt) pool.range_ind.resize(nt);
-    }  // implied barrier: cuts/pool sizing visible to the whole team
-
-    const auto nt = static_cast<std::size_t>(team);
-    const auto t = static_cast<std::size_t>(omp_get_thread_num());
-    auto& lacc = pool.local[t];
-    lacc.reset(n);
-    for (std::size_t k = cuts[t]; k < cuts[t + 1]; ++k) {
-      const Index i = ui[k];
-      const U ux = static_cast<U>(uv[k]);
-      auto cols = a.row_indices(i);
-      auto vals = a.row_values(i);
-      for (std::size_t e = 0; e < cols.size(); ++e) {
-        const Index j = cols[e];
-        if (!lacc.occupied[j] && !probe(j)) continue;  // mask push-down
-        lacc.scatter(j, static_cast<Z>(sr.mult(ux, static_cast<A>(vals[e]))),
-                     sr);
-      }
-    }
-
-#pragma omp barrier
-
-    // Thread t merges columns [lo, hi) from every private accumulator.
-    // Ranges are disjoint, so `merged` needs no synchronization.
-    const Index lo = n * static_cast<Index>(t) / static_cast<Index>(nt);
-    const Index hi = n * (static_cast<Index>(t) + 1) / static_cast<Index>(nt);
-    auto& out = pool.range_ind[t];
-    out.clear();
-    for (std::size_t s = 0; s < nt; ++s) {
-      const auto& sacc = pool.local[s];
-      for (Index j : sacc.touched) {
-        if (j < lo || j >= hi) continue;
-        if (!merged.occupied[j]) {
-          merged.occupied[j] = 1;
-          merged.value[j] = sacc.value[j];
-          out.push_back(j);
-        } else {
-          merged.value[j] = sr.add(static_cast<Z>(merged.value[j]),
-                                   static_cast<Z>(sacc.value[j]));
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());
-  }
-
-  // Per-range outputs are sorted and the ranges ascend, so concatenation is
-  // already in index order.  Clearing occupied bits as we emit restores the
-  // merged accumulator's all-clear invariant without an O(n) pass.
-  Vector<Z> z(n);
-  auto& zi = z.mutable_indices();
-  auto& zv = z.mutable_values();
-  std::size_t nnz = 0;
-  for (std::size_t t = 0; t < static_cast<std::size_t>(team); ++t) {
-    nnz += pool.range_ind[t].size();
-  }
-  zi.reserve(nnz);
-  zv.reserve(nnz);
-  for (std::size_t t = 0; t < static_cast<std::size_t>(team); ++t) {
-    for (Index j : pool.range_ind[t]) {
-      zi.push_back(j);
-      zv.push_back(merged.value[j]);
-      merged.occupied[j] = 0;
-    }
-  }
-  return z;
-}
-
-#endif  // DSG_HAVE_OPENMP
 
 /// Core push kernel: z = uᵀ A over semiring `sr`.  The probe (from
 /// with_vector_probe) is applied inside the scatter loop: a column the mask
@@ -168,14 +39,6 @@ Vector<Z> vxm_kernel(Context& ctx, const SR& sr, const Vector<U>& u,
     // Complement of "no mask": nothing is writable, skip the product.
     return Vector<Z>(n);
   } else {
-#if defined(DSG_HAVE_OPENMP)
-    // With a single thread the parallel kernel is the serial one plus merge
-    // and region overhead, so it must also clear the thread-count gate.
-    if (u.nvals() >= ctx.vxm_parallel_threshold &&
-        omp_get_max_threads() > 1) {
-      return vxm_kernel_parallel<Z>(ctx, sr, u, a, probe);
-    }
-#endif
     auto& acc = ctx.get<ScatterAccumulator<Z>>();
     acc.reset(n);
     u.for_each([&](Index i, const U& ux) {

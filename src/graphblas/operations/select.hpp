@@ -13,7 +13,6 @@
 #include "graphblas/descriptor.hpp"
 #include "graphblas/mask.hpp"
 #include "graphblas/operations/dense_compact.hpp"
-#include "graphblas/operations/pointwise_parallel.hpp"
 #include "graphblas/types.hpp"
 #include "graphblas/vector.hpp"
 
@@ -25,8 +24,7 @@ namespace detail {
 /// AND — zero words skipped whole, the mask probe applied 64 lanes at a
 /// time via probe_writable_word, the predicate run only at candidate bits
 /// (ctz iteration) — staging a dense result, no compaction, no index
-/// arrays.  Parallelizes over contiguous word ranges (one writer per
-/// word), bit-identical to serial for any thread count.
+/// arrays.
 template <typename W, typename Probe, typename Accum, typename Pred,
           typename U>
 void select_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
@@ -56,21 +54,6 @@ void select_vector_dense(Context& ctx, Vector<W>& w, const Probe& probe,
       stage.bit[wd] = m;
       return static_cast<Index>(std::popcount(m));
     };
-#if defined(DSG_HAVE_OPENMP)
-    if (n >= ctx.pointwise_parallel_threshold && omp_get_max_threads() > 1) {
-      std::int64_t count = 0;
-#pragma omp parallel for schedule(static) reduction(+ : count)
-      for (std::ptrdiff_t pw = 0; pw < static_cast<std::ptrdiff_t>(nwords);
-           ++pw) {
-        count += static_cast<std::int64_t>(
-            word_kernel(static_cast<std::size_t>(pw)));
-      }
-      nnz = static_cast<Index>(count);
-      masked_write_vector_dense(ctx, w, stage, nnz, probe, accum,
-                                desc.replace, /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     for (std::size_t wd = 0; wd < nwords; ++wd) nnz += word_kernel(wd);
   }
   masked_write_vector_dense(ctx, w, stage, nnz, probe, accum, desc.replace,
@@ -120,7 +103,7 @@ void select(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
         if (detail::dense_output_prefers_compaction(
                 ctx, u, [&](Index i) { return probe(i) && keep(i); })) {
           Vector<U> z(u.size());
-          detail::compact_dense_to_sparse(ctx, z, u, probe, keep,
+          detail::compact_dense_to_sparse(z, u, probe, keep,
                                           [&](Index i) { return uval[i]; });
           detail::masked_write_vector(ctx, w, std::move(z), probe, accum,
                                       desc.replace,
@@ -134,47 +117,6 @@ void select(Context& ctx, Vector<W>& w, const Mask& mask, const Accum& accum,
     Vector<U> z(u.size());
     auto& zi = z.mutable_indices();
     auto& zv = z.mutable_values();
-#if defined(DSG_HAVE_OPENMP)
-    // Parallel two-pass kernel (bit-identical to serial; see
-    // pointwise_parallel.hpp) once the input clears the Context threshold.
-    auto ui = u.indices();
-    auto uv = u.values();
-    const std::size_t nu = ui.size();
-    if (nu >= static_cast<std::size_t>(ctx.pointwise_parallel_threshold) &&
-        omp_get_max_threads() > 1) {
-      const int chunks = detail::pointwise_chunks(nu);
-      auto keep = [&](std::size_t k) {
-        return probe(ui[k]) && pred(static_cast<U>(uv[k]), ui[k]);
-      };
-      detail::parallel_chunked_compact(
-          chunks,
-          [&](int t) {
-            const auto [b, e] = detail::chunk_range(nu, t, chunks);
-            std::size_t count = 0;
-            for (std::size_t k = b; k < e; ++k) {
-              if (keep(k)) ++count;
-            }
-            return count;
-          },
-          [&](std::size_t total) {
-            zi.resize(total);
-            zv.resize(total);
-          },
-          [&](int t, std::size_t off) {
-            const auto [b, e] = detail::chunk_range(nu, t, chunks);
-            for (std::size_t k = b; k < e; ++k) {
-              if (!keep(k)) continue;
-              zi[off] = ui[k];
-              zv[off] = uv[k];
-              ++off;
-            }
-          });
-      detail::masked_write_vector(ctx, w, std::move(z), probe, accum,
-                                  desc.replace,
-                                  /*z_prefiltered=*/true);
-      return;
-    }
-#endif  // DSG_HAVE_OPENMP
     u.for_each([&](Index i, const U& x) {
       if (probe(i) && pred(x, i)) {
         zi.push_back(i);

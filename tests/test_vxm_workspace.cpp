@@ -1,8 +1,8 @@
 // Exhaustive semantics tests for the workspace-reusing, mask-fused SpMSpV
 // engine: vxm / mxv checked against a brute-force dense reference across
 // every mask x complement x structure x replace x accum combination, plus
-// workspace-reuse (one grb::Context across many differently-shaped calls),
-// the OpenMP parallel kernel, and the cached transpose.
+// workspace-reuse (one grb::Context across many differently-shaped calls)
+// and the cached transpose.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -10,10 +10,6 @@
 #include <vector>
 
 #include "graphblas/graphblas.hpp"
-
-#if defined(DSG_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace {
 
@@ -439,83 +435,6 @@ TEST(ContextWorkspace, DefaultContextIsReusedByLegacySignatures) {
     EXPECT_EQ(first, again);
   }
 }
-
-// ---------------------------------------------------------------------------
-// OpenMP parallel kernel.
-// ---------------------------------------------------------------------------
-
-#if defined(DSG_HAVE_OPENMP)
-TEST(ParallelVxm, MatchesSerialKernelBitForBit) {
-  // Random graph, dense frontier; the parallel kernel must agree with the
-  // serial one exactly (the merge reproduces the serial combine order).
-  const Index n = 3000;
-  std::mt19937_64 rng(5);
-  std::uniform_int_distribution<Index> pick(0, n - 1);
-  std::uniform_real_distribution<double> wd(0.1, 4.0);
-  std::vector<Index> r, c;
-  std::vector<double> v;
-  for (Index i = 0; i < n; ++i) {
-    for (int k = 0; k < 6; ++k) {
-      r.push_back(i);
-      c.push_back(pick(rng));
-      v.push_back(wd(rng));
-    }
-  }
-  const auto a = grb::Matrix<double>::build(n, n, r, c, v, grb::Min<double>{});
-
-  for (Index frontier : {Index{50}, Index{700}, n}) {
-    grb::Vector<double> u(n);
-    for (Index i = 0; i < frontier; ++i) {
-      u.set_element((i * 37) % n, 0.5 * static_cast<double>(i % 13));
-    }
-    grb::Vector<bool> mask(n);
-    for (Index i = 0; i < n; i += 3) mask.set_element(i, true);
-
-    const int saved_threads = omp_get_max_threads();
-    omp_set_num_threads(4);  // oversubscription is fine for correctness
-    grb::Context par;
-    par.vxm_parallel_threshold = 1;  // force the parallel path
-    grb::Context ser;
-    ser.vxm_parallel_threshold = std::numeric_limits<Index>::max();
-
-    {
-      // (min,+) adds are exactly associative: the parallel merge must be
-      // bit-identical to the serial kernel.
-      grb::Vector<double> wp(n), ws(n);
-      const auto sr = grb::min_plus_semiring<double>();
-      grb::vxm(par, wp, sr, u, a);
-      grb::vxm(ser, ws, sr, u, a);
-      EXPECT_EQ(wp, ws) << "minplus frontier=" << frontier;
-
-      // Masked variant through the same workspaces.
-      grb::Vector<double> mp(n), ms(n);
-      grb::vxm(par, mp, mask, grb::NoAccumulate{}, sr, u, a,
-               grb::replace_desc);
-      grb::vxm(ser, ms, mask, grb::NoAccumulate{}, sr, u, a,
-               grb::replace_desc);
-      EXPECT_EQ(mp, ms) << "masked frontier=" << frontier;
-    }
-    {
-      // Floating-point sums are re-associated per chunk by the merge:
-      // structure is identical, values agree within rounding.
-      grb::Vector<double> wp(n), ws(n);
-      const auto sr = grb::plus_times_semiring<double>();
-      grb::vxm(par, wp, sr, u, a);
-      grb::vxm(ser, ws, sr, u, a);
-      ASSERT_EQ(wp.nvals(), ws.nvals()) << "plustimes frontier=" << frontier;
-      ASSERT_TRUE(std::equal(wp.indices().begin(), wp.indices().end(),
-                             ws.indices().begin()))
-          << "plustimes structure, frontier=" << frontier;
-      for (std::size_t k = 0; k < wp.values().size(); ++k) {
-        EXPECT_NEAR(wp.values()[k], ws.values()[k],
-                    1e-12 * std::max(1.0, std::abs(ws.values()[k])))
-            << "plustimes value " << k << ", frontier=" << frontier;
-      }
-    }
-    omp_set_num_threads(saved_threads);
-  }
-}
-#endif  // DSG_HAVE_OPENMP
 
 // ---------------------------------------------------------------------------
 // Cached transpose.
