@@ -2,8 +2,9 @@
 # check_static.sh — the repo's static-analysis gate, one command for what CI
 # runs in the static-analysis job:
 #
-#   1. scripts/lint_dsg.py        project-specific lints (atomics confinement,
-#                                 C-API guard discipline, header hygiene),
+#   1. scripts/lint_dsg.py        project-specific lints (atomics and OpenMP
+#                                 confinement, C-API guard discipline,
+#                                 header hygiene),
 #                                 preceded by the lint's own self-test;
 #   2. clang-format --dry-run     formatting drift, via .clang-format;
 #   3. clang-tidy                 the curated .clang-tidy wall, over every

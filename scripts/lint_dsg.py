@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """lint_dsg.py -- project-specific static lints for the delta-stepping tree.
 
-Four machine-checked rules that clang-tidy cannot express (they encode
+Five machine-checked rules that clang-tidy cannot express (they encode
 *this* project's contracts, documented in docs/ARCHITECTURE.md under
 "Correctness tooling"):
 
@@ -16,6 +16,16 @@ Four machine-checked rules that clang-tidy cannot express (they encode
       (dsg::async::write_min, dsg::RelaxedCounter, dsg::PublishedFlag).
       Extending the allowlist means auditing the new file's ordering
       argument and editing ALLOWED_ATOMICS here, in the same review.
+
+  openmp-confinement
+      OpenMP -- '#pragma omp', '#include <omp.h>' and omp_*() calls -- is
+      only legal in the allowlist:
+          src/sssp/delta_stepping_fused.cpp (the one tasked Δ-stepping body)
+          src/sssp/solver.cpp               (solve_batch's source fan-out)
+          src/sssp/plan.cpp                 (resolve_num_threads)
+      The grb:: substrate is serial, and every other core takes its team
+      size from resolve_num_threads.  Extending the allowlist means editing
+      ALLOWED_OPENMP here, in the same review.
 
   capi-guard
       Every extern "C" API entry point defined in src/capi/*.cpp (names
@@ -76,6 +86,21 @@ ATOMIC_TOKENS = re.compile(
       | \.compare_exchange_(?:weak|strong)\b
       | \.fetch_(?:add|sub|and|or|xor)\s*\(
       | \#\s*include\s*<atomic>
+    """,
+    re.VERBOSE,
+)
+
+# Files (relative to the lint root) where OpenMP is legal.
+ALLOWED_OPENMP = {
+    "sssp/delta_stepping_fused.cpp",
+    "sssp/solver.cpp",
+    "sssp/plan.cpp",
+}
+
+OPENMP_TOKENS = re.compile(
+    r"""\#\s*pragma\s+omp\b
+      | \#\s*include\s*<omp\.h>
+      | \bomp_\w+\s*\(
     """,
     re.VERBOSE,
 )
@@ -230,6 +255,23 @@ def check_atomics(root: Path, path: Path, code: str) -> list[Violation]:
     return out
 
 
+def check_openmp(root: Path, path: Path, code: str) -> list[Violation]:
+    rel = path.relative_to(root).as_posix()
+    if rel in ALLOWED_OPENMP:
+        return []
+    return [
+        Violation(
+            path,
+            line_of(code, m.start()),
+            "openmp-confinement",
+            f"OpenMP token '{m.group(0).strip()}' outside the allowlist; "
+            "the grb:: substrate is serial and team sizes come from "
+            "dsg::resolve_num_threads (see docs/ARCHITECTURE.md)",
+        )
+        for m in OPENMP_TOKENS.finditer(code)
+    ]
+
+
 def find_capi_entries(code: str):
     """Yields (name, name_offset, body_start, body_end) for every top-level
     C-API function *definition* (argument list followed by a brace body)."""
@@ -367,6 +409,7 @@ def check_lock_discipline(root: Path, path: Path, code: str) -> list[Violation]:
 
 RULES = (
     check_atomics,
+    check_openmp,
     check_capi_guard,
     check_header_hygiene,
     check_lock_discipline,
@@ -400,6 +443,8 @@ def self_test(fixtures: Path) -> int:
     expected = {
         ("graphblas/rogue_atomics.hpp", "atomics-confinement"),
         ("graphblas/rogue_counter.cpp", "atomics-confinement"),
+        ("graphblas/rogue_pragma.hpp", "openmp-confinement"),
+        ("sssp/rogue_team.cpp", "openmp-confinement"),
         ("capi/unguarded_api.cpp", "capi-guard"),
         ("graphblas/leaky_header.hpp", "header-hygiene"),
         ("serving/raw_lock.cpp", "lock-discipline"),

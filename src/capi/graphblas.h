@@ -361,10 +361,12 @@ typedef struct {
  * pool-safe selector or DSG_SSSP_AUTO (cost-driven choice);
  * DSG_SSSP_CAPI is rejected (process-global operator state cannot run on
  * concurrent workers).  num_workers <= 0 selects the hardware thread
- * count; queue_capacity 0 is clamped to 1; cache_capacity 0 disables the
- * result cache.  Errors: GrB_NULL_POINTER, GrB_DIMENSION_MISMATCH,
- * GrB_INVALID_VALUE (empty graph, negative weight, non-finite delta,
- * bad/pool-unsafe algorithm). */
+ * count; at most 1024 workers (a larger count is GrB_INVALID_VALUE, and
+ * no thread starts); queue_capacity 0 is clamped to 1; cache_capacity 0
+ * disables the result cache.  Errors: GrB_NULL_POINTER,
+ * GrB_DIMENSION_MISMATCH, GrB_INVALID_VALUE (empty graph, negative
+ * weight, non-finite delta, bad/pool-unsafe algorithm, num_workers above
+ * 1024). */
 GrB_Info DsgServer_new(DsgServer* server, GrB_Matrix a,
                        DsgSsspAlgorithm algorithm, double delta,
                        int32_t num_workers, GrB_Index queue_capacity,

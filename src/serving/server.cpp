@@ -34,6 +34,9 @@ SsspServer::SsspServer(std::shared_ptr<const GraphPlan> plan,
       options_(options),
       cache_(options.cache_capacity) {
   if (!plan_) throw grb::InvalidValue("SsspServer: null plan");
+  if (options_.num_workers > kMaxWorkers) {
+    throw grb::InvalidValue("SsspServer: num_workers exceeds kMaxWorkers");
+  }
   if (options_.num_workers <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     options_.num_workers = static_cast<int>(std::max(1u, hw));

@@ -58,8 +58,12 @@
 
 namespace dsg::serving {
 
+/// Most worker threads a server starts; a larger num_workers is rejected.
+inline constexpr int kMaxWorkers = 1024;
+
 struct ServerOptions {
-  /// Worker threads (<= 0 selects hardware_concurrency, at least 1).
+  /// Worker threads (<= 0 selects hardware_concurrency, at least 1; above
+  /// kMaxWorkers the constructor throws grb::InvalidValue).
   int num_workers = 2;
   /// Bounded queue depth; submit() blocks when full.  0 is clamped to 1.
   std::size_t queue_capacity = 64;

@@ -29,10 +29,6 @@
 #include "sssp/async/write_min.hpp"
 #include "testing/fault_injection.hpp"
 
-#if defined(DSG_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace dsg {
 
 namespace {
@@ -571,18 +567,9 @@ SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
   }
   eng.control = exec.control;
 
-  // 0 is the library default: the OpenMP cores' team size where OpenMP is
-  // built in (so OMP_NUM_THREADS caps every threaded core alike), else the
-  // hardware concurrency.
-  int threads = exec.num_threads;
-  if (threads <= 0) {
-#if defined(DSG_HAVE_OPENMP)
-    threads = omp_get_max_threads();
-#else
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-#endif
-  }
-  if (threads < 1) threads = 1;
+  // 0 is the library default, the same team size as the OpenMP core's (so
+  // OMP_NUM_THREADS caps every threaded core alike).
+  const int threads = resolve_num_threads(exec.num_threads);
 
   // Pre-run poll: a deadline of 0 (or an already-cancelled control) returns
   // before any thread spawns, with the init-state upper bounds.

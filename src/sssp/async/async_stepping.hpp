@@ -75,9 +75,9 @@ namespace dsg {
 
 /// Asynchronous delta-stepping.  Buckets by the plan's delta but relaxes
 /// each bucket lock-free instead of in two-pass deterministic phases.
-/// Uses ExecOptions::num_threads (0 = the library default, as for the
-/// OpenMP cores: omp_get_max_threads() when built with OpenMP, else the
-/// hardware concurrency; 1 = inline on the calling thread).
+/// Uses ExecOptions::num_threads (0 = the library default of
+/// resolve_num_threads, as for the OpenMP core; 1 = inline on the calling
+/// thread).
 SsspResult delta_stepping_async(const GraphPlan& plan, grb::Context& ctx,
                                 Index source, const ExecOptions& exec);
 

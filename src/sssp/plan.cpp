@@ -6,8 +6,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 
 #include "graphblas/audit.hpp"
+
+#if defined(DSG_HAVE_OPENMP)
+#include <omp.h>
+#endif
 
 namespace dsg {
 
@@ -212,6 +217,16 @@ std::shared_ptr<SplitSlot> split_light_heavy(
 }
 
 }  // namespace
+
+int resolve_num_threads(int requested) {
+  if (requested > 0) return requested;
+#if defined(DSG_HAVE_OPENMP)
+  const int threads = omp_get_max_threads();
+#else
+  const int threads = static_cast<int>(std::thread::hardware_concurrency());
+#endif
+  return std::max(1, threads);
+}
 
 GraphPlan::GraphPlan(std::shared_ptr<const grb::Matrix<double>> a,
                      double delta)

@@ -71,9 +71,8 @@ inline constexpr double kAutoDelta = 0.0;
 struct ExecOptions {
   /// Collect the per-phase timers in SsspStats (small overhead).
   bool profile = false;
-  /// OpenMP and async variants: thread count (0 = library default:
-  /// omp_get_max_threads() when built with OpenMP, so OMP_NUM_THREADS
-  /// applies, else the hardware concurrency).
+  /// OpenMP and async variants: thread count (0 = library default, see
+  /// resolve_num_threads).
   int num_threads = 0;
   /// Optional query lifecycle control (deadline + cooperative cancel).
   /// Null = run to completion unconditionally.  Cores poll it at their
@@ -81,6 +80,12 @@ struct ExecOptions {
   /// distances computed so far with the matching SsspResult::status.
   const QueryControl* control = nullptr;
 };
+
+/// The team size for ExecOptions::num_threads = `requested`: `requested`
+/// itself when > 0, else the library default — omp_get_max_threads() when
+/// built with OpenMP (so OMP_NUM_THREADS applies), else the hardware
+/// concurrency.  Always at least 1.
+int resolve_num_threads(int requested);
 
 /// One-pass structural statistics collected at plan construction.  These
 /// feed the auto-Δ heuristic and are cheap enough to always compute (the

@@ -13,14 +13,9 @@
 #include "sssp/delta_stepping_capi.hpp"
 #include "sssp/delta_stepping_fused.hpp"
 #include "sssp/delta_stepping_graphblas.hpp"
-#include "sssp/delta_stepping_openmp.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/paths.hpp"
 #include "testing/fault_injection.hpp"
-
-#if defined(DSG_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace dsg::sssp {
 
@@ -284,15 +279,13 @@ std::vector<QueryResult> SsspSolver::solve_batch(
 
 #if defined(DSG_HAVE_OPENMP)
   if (info.batch_parallel && sources.size() > 1 &&
-      omp_get_max_threads() > 1) {
+      resolve_num_threads(0) > 1) {
     // Source-level fan-out.  Each thread executes on its own thread-local
     // Context, so workspaces never cross threads; every solve is an
     // independent deterministic run, so results match the serial loop
     // bit-for-bit.  Exceptions cannot cross the region: run_one contains
     // each inside its query's slot.
-    const int threads = options_.exec.num_threads > 0
-                            ? options_.exec.num_threads
-                            : omp_get_max_threads();
+    const int threads = resolve_num_threads(options_.exec.num_threads);
 #pragma omp parallel for schedule(dynamic) num_threads(threads)
     for (std::int64_t k = 0;
          k < static_cast<std::int64_t>(sources.size()); ++k) {

@@ -138,8 +138,7 @@ std::span<const char* const> fault_point_catalog() {
       "solver/solve",            // SsspSolver::solve, before dispatch
       "solver/batch_query",      // per-query in solve_batch (key = source)
       "buckets/round",           // kBuckets bucket loop
-      "fused/round",             // kFused / kGraphblasSelect-era fused loop
-      "openmp/round",            // kOpenmp outer round (inside the region)
+      "fused/round",             // kFused / kOpenmp bucket loop (one body)
       "graphblas/round",         // kGraphblas pure-GraphBLAS loop
       "graphblas_select/round",  // kGraphblasSelect loop
       "capi/round",              // kCapi plan-core loop

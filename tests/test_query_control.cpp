@@ -226,11 +226,9 @@ void check_mid_run_cancel(const MidRunCase& c) {
   EXPECT_EQ(again.dist, exact.dist);
 }
 
-#if defined(DSG_HAVE_OPENMP)
 TEST(QueryLifecycle, MidRunCancelOpenmp) {
-  check_mid_run_cancel({Algorithm::kOpenmp, "openmp/round"});
+  check_mid_run_cancel({Algorithm::kOpenmp, "fused/round"});
 }
-#endif
 
 TEST(QueryLifecycle, MidRunCancelDeltaSteppingAsync) {
   check_mid_run_cancel({Algorithm::kDeltaSteppingAsync, "async/coordinate"});

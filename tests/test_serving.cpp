@@ -692,5 +692,30 @@ TEST_F(CapiServing, ErrorCodes) {
   EXPECT_EQ(DsgServer_free(nullptr), GrB_NULL_POINTER);
 }
 
+// A worker count above kMaxWorkers is refused before any thread starts, on
+// both constructors; INT32_MAX would otherwise ask for 2^31 OS threads.
+TEST_F(CapiServing, WorkerCountAboveCapIsRejected) {
+  static_assert(kMaxWorkers < INT32_MAX);
+  DsgServer server = nullptr;
+  for (const int32_t workers : {kMaxWorkers + 1, INT32_MAX}) {
+    EXPECT_EQ(DsgServer_new(&server, a_, DSG_SSSP_FUSED, DSG_SSSP_DELTA_AUTO,
+                            workers, 4, 4),
+              GrB_INVALID_VALUE)
+        << workers;
+    EXPECT_EQ(server, nullptr);
+  }
+
+  const std::string path = ::testing::TempDir() + "dsg_capi_worker_cap.plan";
+  ASSERT_EQ(DsgServer_new(&server, a_, DSG_SSSP_FUSED, 2.5, 1, 4, 4),
+            GrB_SUCCESS);
+  ASSERT_EQ(DsgServer_save_plan(server, path.c_str()), GrB_SUCCESS);
+  ASSERT_EQ(DsgServer_free(&server), GrB_SUCCESS);
+  EXPECT_EQ(DsgServer_new_from_file(&server, path.c_str(), DSG_SSSP_FUSED,
+                                    INT32_MAX, 4, 4),
+            GrB_INVALID_VALUE);
+  EXPECT_EQ(server, nullptr);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dsg::serving

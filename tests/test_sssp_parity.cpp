@@ -4,8 +4,13 @@
 // evaluation.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "bench_support/suite.hpp"
+#include "graph/generators.hpp"
 #include "graph/stats.hpp"
+#include "graph/weights.hpp"
 #include "test_support.hpp"
 
 namespace {
@@ -81,19 +86,52 @@ INSTANTIATE_TEST_SUITE_P(Graphs, SuiteParity,
                            return name;
                          });
 
+// `openmp` runs fused's own loop with its vector passes cut into tasks, so
+// at every team size its distances are fused's bit for bit and its
+// counters equal fused's.
+void expect_openmp_matches_fused(const dsg::GraphPlan& plan,
+                                 const dsg::SsspResult& fused) {
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("openmp threads=" + std::to_string(threads));
+    dsg::ExecOptions exec;
+    exec.num_threads = threads;
+    const auto r = dsg::test::run_registry(plan, Algorithm::kOpenmp, 0, exec);
+    ASSERT_EQ(r.dist.size(), fused.dist.size());
+    EXPECT_EQ(std::memcmp(r.dist.data(), fused.dist.data(),
+                          fused.dist.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(r.stats.outer_iterations, fused.stats.outer_iterations);
+    EXPECT_EQ(r.stats.light_phases, fused.stats.light_phases);
+    EXPECT_EQ(r.stats.relax_requests, fused.stats.relax_requests);
+  }
+}
+
 TEST(SuiteParity, PhaseCountsAgreeAcrossAlgebraicVariants) {
   // The GraphBLAS and fused implementations run the same abstract
   // algorithm, so bucket/phase counts must match exactly.
   auto suite = dsg::quick_suite(3);
   for (const auto& entry : suite) {
+    SCOPED_TRACE(entry.name);
     const dsg::GraphPlan plan(entry.make().to_matrix(), 1.0);
     auto r_gb = dsg::test::run_registry(plan, Algorithm::kGraphblas, 0);
     auto r_fused = dsg::test::run_registry(plan, Algorithm::kFused, 0);
-    EXPECT_EQ(r_gb.stats.outer_iterations, r_fused.stats.outer_iterations)
-        << entry.name;
-    EXPECT_EQ(r_gb.stats.light_phases, r_fused.stats.light_phases)
-        << entry.name;
+    EXPECT_EQ(r_gb.stats.outer_iterations, r_fused.stats.outer_iterations);
+    EXPECT_EQ(r_gb.stats.light_phases, r_fused.stats.light_phases);
+    expect_openmp_matches_fused(plan, r_fused);
   }
+
+  // The suite graphs are too small for a vector pass to be split (a task
+  // owns at least 2^15 elements).  70000 vertices split into 2 tasks at 2
+  // threads and 3 at 4; weights in [0.5, 2.5) against Δ = 1 give the heavy
+  // pass work too.
+  SCOPED_TRACE("smallworld-70k-w");
+  auto g = dsg::generate_small_world(70000, 4, 0.1, 7);
+  g.symmetrize();
+  g.normalize();
+  dsg::assign_uniform_weights(g, 0.5, 2.5, 3);
+  const dsg::GraphPlan plan(g.to_matrix(), 1.0);
+  expect_openmp_matches_fused(
+      plan, dsg::test::run_registry(plan, Algorithm::kFused, 0));
 }
 
 TEST(SuiteParity, UnitWeightDeltaOneBucketsEqualBfsDepth) {
