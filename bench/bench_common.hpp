@@ -42,12 +42,14 @@ inline double time_best_ms(const std::function<SsspResult()>& fn,
   return summarize(samples).min;
 }
 
-/// Repetition budget: more reps on small graphs, one timed rep (after the
-/// warmup) on the largest, whose runtimes are long enough to be stable.
+/// Repetition budget: more reps on small graphs, three timed reps (after
+/// the warmup) on the largest.  One rep is not enough there: a single
+/// grid-512x512 `fused` cell read anywhere from 742 to 1162 ms across runs,
+/// and the best of three damps that host noise.
 inline int reps_for(Index num_vertices) {
   if (num_vertices <= 2000) return 9;
   if (num_vertices <= 100000) return 5;
-  return 1;
+  return 3;
 }
 
 /// Applies --quick / --graphs=N trimming shared by all table benches.

@@ -390,7 +390,8 @@ GrB_Info DsgServer_new_from_file(DsgServer* server, const char* path,
 GrB_Info DsgServer_save_plan(DsgServer server, const char* path);
 
 /* Enqueues one query and returns its ticket in *ticket.  Blocks while the
- * bounded queue is full (backpressure).  `control` may be NULL; when
+ * bounded queue is full (backpressure); a cached source is answered inside
+ * the call instead and never blocks.  `control` may be NULL; when
  * non-NULL the caller keeps it alive until DsgServer_wait returns for
  * this ticket.  Errors: GrB_NULL_POINTER, GrB_INVALID_INDEX (source out
  * of range), GrB_INVALID_VALUE (server shutting down). */

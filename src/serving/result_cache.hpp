@@ -21,7 +21,7 @@
 // atomics-confinement lint applies): one lock, coarse and simple, is the
 // audited design — the cache is consulted once per query, not per edge.
 // The mutex is a lockdep-audited AuditedMutex (testing/lock_audit.hpp):
-// workers consult the cache while NOT holding the server lock, and the
+// the server consults the cache while NOT holding its own lock, and the
 // auditor proves that stays true — nesting ResultCache::mu inside
 // SsspServer::mu in one place and the reverse elsewhere would abort the
 // DSG_AUDIT_INVARIANTS build at the first offending acquire.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <new>
+#include <optional>
 #include <utility>
 
 #include "testing/fault_injection.hpp"
@@ -24,6 +25,20 @@ void require_pool_safe(sssp::Algorithm algorithm) {
         "SsspServer: the capi variant carries process-global operator "
         "state and cannot run on concurrent pool workers");
   }
+}
+
+grb::InvalidValue shutting_down() {
+  return grb::InvalidValue("SsspServer::submit: server is shutting down");
+}
+
+/// The kFailed result carrying the exception being handled; call only
+/// from inside a catch block.
+sssp::QueryResult failed_result(const char* what) {
+  sssp::QueryResult out;
+  out.exception = std::current_exception();
+  out.result.status = SsspStatus::kFailed;
+  out.error = what;
+  return out;
 }
 
 }  // namespace
@@ -51,7 +66,8 @@ SsspServer::SsspServer(std::shared_ptr<const GraphPlan> plan,
   // Front-load every lazily materialized artifact the pool will touch, so
   // workers only ever take the plan's lazy-cache mutex on a fast path.
   sssp::warm_plan(*plan_, default_algorithm_);
-  plan_->fingerprint();
+  fingerprint_ = plan_->fingerprint();
+  delta_ = plan_->delta();
   start_workers();
 }
 
@@ -84,16 +100,36 @@ void SsspServer::shutdown() {
 SsspServer::Ticket SsspServer::submit(const Query& query) {
   grb::detail::check_index(query.source, plan_->num_vertices(),
                            "SsspServer::submit: source");
-  require_pool_safe(query.algorithm.value_or(default_algorithm_));
+  const sssp::Algorithm algorithm =
+      query.algorithm.value_or(default_algorithm_);
+  require_pool_safe(algorithm);
   testing::fault_point("serving/pool_enqueue", query.source);
+
+  if (uses_cache(query)) {
+    {
+      // Reject before the lookup, so a refused submit counts nothing.
+      std::lock_guard<testing::AuditedMutex> lock(mu_);
+      if (stopping_) throw shutting_down();
+    }
+    // Outside mu_: ResultCache::mu is never taken under the server lock.
+    if (std::optional<sssp::QueryResult> hit =
+            serve_from_cache(query.source, algorithm)) {
+      // Finished here: no queue slot, no backpressure, no worker.  The
+      // submit was accepted at the check above, so a shutdown racing the
+      // lookup does not refuse it.
+      std::lock_guard<testing::AuditedMutex> lock(mu_);
+      const Ticket ticket = next_ticket_++;
+      ++submitted_;
+      finish_locked(ticket, std::move(*hit));
+      return ticket;
+    }
+  }
 
   testing::AuditedLock lock(mu_);
   not_full_.wait(lock, [&] {
     return stopping_ || queue_.size() < options_.queue_capacity;
   });
-  if (stopping_) {
-    throw grb::InvalidValue("SsspServer::submit: server is shutting down");
-  }
+  if (stopping_) throw shutting_down();
   const Ticket ticket = next_ticket_++;
   outstanding_.insert(ticket);
   queue_.push_back(Item{ticket, query});
@@ -101,6 +137,50 @@ SsspServer::Ticket SsspServer::submit(const Query& query) {
   lock.unlock();
   not_empty_.notify_one();
   return ticket;
+}
+
+std::optional<sssp::QueryResult> SsspServer::serve_from_cache(
+    Index source, sssp::Algorithm algorithm) {
+  try {
+    const ResultCache::Distances hit =
+        cache_.lookup(cache_key(source, algorithm));
+    if (!hit) return std::nullopt;
+    testing::fault_point("serving/cache_hit", source);
+    // Bit-identical replay of the first computation; instant, so the
+    // control's deadline/cancel state is irrelevant.
+    sssp::QueryResult out;
+    out.result.dist = *hit;
+    out.result.status = SsspStatus::kComplete;
+    return out;
+  } catch (const std::exception& e) {
+    return failed_result(e.what());
+  } catch (...) {
+    return failed_result("unknown error");
+  }
+}
+
+CacheKey SsspServer::cache_key(Index source,
+                               sssp::Algorithm algorithm) const {
+  return CacheKey{fingerprint_, source, static_cast<int>(algorithm), delta_};
+}
+
+bool SsspServer::uses_cache(const Query& query) const {
+  return !query.bypass_cache && cache_.capacity() > 0;
+}
+
+void SsspServer::finish_locked(Ticket ticket, sssp::QueryResult result) {
+  if (!result.ok()) {
+    ++failed_;
+  } else {
+    switch (result.result.status) {
+      case SsspStatus::kComplete: ++completed_; break;
+      case SsspStatus::kDeadlineExpired: ++deadline_expired_; break;
+      case SsspStatus::kCancelled: ++cancelled_; break;
+      case SsspStatus::kFailed: ++failed_; break;  // unreachable: !ok()
+    }
+  }
+  outstanding_.erase(ticket);
+  finished_.emplace(ticket, std::move(result));
 }
 
 sssp::QueryResult SsspServer::wait(Ticket ticket) {
@@ -139,18 +219,7 @@ void SsspServer::worker_loop() {
 
     {
       std::lock_guard<testing::AuditedMutex> lock(mu_);
-      if (!result.ok()) {
-        ++failed_;
-      } else {
-        switch (result.result.status) {
-          case SsspStatus::kComplete: ++completed_; break;
-          case SsspStatus::kDeadlineExpired: ++deadline_expired_; break;
-          case SsspStatus::kCancelled: ++cancelled_; break;
-          case SsspStatus::kFailed: ++failed_; break;  // unreachable: !ok()
-        }
-      }
-      outstanding_.erase(item.ticket);
-      finished_.emplace(item.ticket, std::move(result));
+      finish_locked(item.ticket, std::move(result));
     }
     done_.notify_all();
   }
@@ -158,24 +227,12 @@ void SsspServer::worker_loop() {
 
 sssp::QueryResult SsspServer::run_query(const Query& query,
                                         grb::Context& ctx) {
-  sssp::QueryResult out;
+  // submit() already looked this query up and missed (or skipped the
+  // cache); the worker only solves and inserts.
   try {
     testing::fault_point("serving/worker_query", query.source);
     const sssp::Algorithm algorithm =
         query.algorithm.value_or(default_algorithm_);
-    const sssp::AlgorithmInfo& info = sssp::algorithm_info(algorithm);
-    const CacheKey key{plan_->fingerprint(), query.source,
-                       static_cast<int>(algorithm), plan_->delta()};
-    const bool use_cache = !query.bypass_cache && cache_.capacity() > 0;
-    if (use_cache) {
-      if (ResultCache::Distances hit = cache_.lookup(key)) {
-        // Bit-identical replay of the first computation; instant, so the
-        // control's deadline/cancel state is irrelevant.
-        out.result.dist = *hit;
-        out.result.status = SsspStatus::kComplete;
-        return out;
-      }
-    }
     ExecOptions exec;
     exec.profile = options_.profile;
     // The worker pool is the parallelism: a threaded core runs on its
@@ -183,43 +240,40 @@ sssp::QueryResult SsspServer::run_query(const Query& query,
     // threads) inside every worker.
     exec.num_threads = 1;
     exec.control = query.control;
-    out.result = info.run(*plan_, ctx, query.source, exec);
-    if (use_cache && out.result.status == SsspStatus::kComplete) {
+    sssp::QueryResult out;
+    out.result =
+        sssp::algorithm_info(algorithm).run(*plan_, ctx, query.source, exec);
+    if (uses_cache(query) && out.result.status == SsspStatus::kComplete) {
       // Best-effort: a failed insert (e.g. allocation pressure) must not
       // fail the query — the caller still gets its exact distances.
       try {
         testing::fault_point("serving/cache_insert", query.source);
-        cache_.insert(key, std::make_shared<const std::vector<double>>(
-                               out.result.dist));
+        cache_.insert(cache_key(query.source, algorithm),
+                      std::make_shared<const std::vector<double>>(
+                          out.result.dist));
       } catch (const std::bad_alloc&) {
         std::lock_guard<testing::AuditedMutex> lock(mu_);
         ++cache_insert_failures_;
       }
     }
+    return out;
   } catch (const std::exception& e) {
-    out.exception = std::current_exception();
-    out.result = SsspResult{};
-    out.result.status = SsspStatus::kFailed;
-    out.error = e.what();
+    return failed_result(e.what());
   } catch (...) {
-    out.exception = std::current_exception();
-    out.result = SsspResult{};
-    out.result.status = SsspStatus::kFailed;
-    out.error = "unknown error";
+    return failed_result("unknown error");
   }
-  return out;
 }
 
 ServerStats SsspServer::stats() const {
-  std::lock_guard<testing::AuditedMutex> lock(mu_);
   ServerStats out;
+  out.cache = cache_.stats();  // before mu_: never nest the cache lock
+  std::lock_guard<testing::AuditedMutex> lock(mu_);
   out.submitted = submitted_;
   out.completed = completed_;
   out.deadline_expired = deadline_expired_;
   out.cancelled = cancelled_;
   out.failed = failed_;
   out.cache_insert_failures = cache_insert_failures_;
-  out.cache = cache_.stats();
   out.workers = static_cast<std::uint64_t>(options_.num_workers);
   out.queue_capacity = options_.queue_capacity;
   return out;

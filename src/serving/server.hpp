@@ -3,24 +3,30 @@
 // MPMC queue of queries, with an LRU result cache in front of the solves.
 //
 // Lifecycle of one query:
-//   submit()  validates the source and the algorithm choice, then blocks
-//             while the queue is full (bounded backpressure — a serving
-//             tier must push back, not buffer unboundedly) and returns a
+//   submit()  validates the source and the algorithm choice, resolves the
+//             algorithm (per-query override, else the server's
+//             auto-selected default) and consults the cache — the only
+//             lookup site.  A hit finishes right there, on the submitting
+//             thread: the distances are copied outside every lock and the
+//             ticket lands finished, without a queue slot, backpressure or
+//             a worker.  A miss (or a bypass_cache query, or a server with
+//             cache_capacity 0) blocks while the queue is full (bounded
+//             backpressure — a serving tier must push back, not buffer
+//             unboundedly) and is queued.  Either way submit returns a
 //             Ticket;
-//   a worker  pops the query, resolves its algorithm (per-query override,
-//             else the server's auto-selected default), consults the
-//             cache, and on a miss runs the plan-based core on its OWN
+//   a worker  pops a queued query and runs the plan-based core on its OWN
 //             grb::Context (contexts are not thread-safe; the plan is,
-//             after warming — its lazy cache is mutex-guarded);
+//             after warming — its lazy cache is mutex-guarded), then
+//             inserts a kComplete result into the cache;
 //   wait()    blocks until that ticket's result is ready and redeems it
 //             (each ticket redeemable exactly once).
 //
 // Failure containment mirrors solve_batch's isolation contract: a query
-// that throws marks only its own QueryResult kFailed; the pool and every
-// other in-flight query keep going.  QueryControl deadlines/cancellation
-// plug in per query — an interrupted query returns its partial upper
-// bounds with the matching status and is NOT cached (only kComplete
-// results are).
+// that throws — on a worker, or in submit's cache lookup and copy — marks
+// only its own QueryResult kFailed; the pool and every other in-flight
+// query keep going.  QueryControl deadlines/cancellation plug in per
+// query — an interrupted query returns its partial upper bounds with the
+// matching status and is NOT cached (only kComplete results are).
 //
 // Determinism under concurrency: distances are deterministic — every
 // pool-safe algorithm is value-deterministic per (graph, Δ, source), so
@@ -33,9 +39,11 @@
 // results), plain counters under the same mutex.  No raw atomics — the
 // project's atomics-confinement lint routes anything lock-free through
 // the audited wrappers, and nothing here is hot enough to need them (the
-// lock is taken per query, not per edge).  The mutex and condvars are the
-// lockdep-audited wrappers from testing/lock_audit.hpp: under
-// DSG_AUDIT_INVARIANTS every acquisition feeds the process-global
+// lock is taken per query, not per edge).  ResultCache::mu is never
+// taken while mu_ is held: submit looks up, workers insert and stats()
+// snapshots the cache between their critical sections.  The mutex and
+// condvars are the lockdep-audited wrappers from testing/lock_audit.hpp:
+// under DSG_AUDIT_INVARIANTS every acquisition feeds the process-global
 // lock-order graph (order inversions and condvar-wait-while-holding-
 // second-lock abort with both chains); otherwise they compile to plain
 // std::mutex / condition_variable_any.
@@ -139,9 +147,14 @@ class SsspServer {
     query.control = &control;
     return submit(query);
   }
-  /// Validates and enqueues; blocks while the queue is full.  Throws
-  /// grb::IndexOutOfBounds (bad source) or grb::InvalidValue (bad or
-  /// pool-unsafe algorithm, server shutting down) without enqueuing.
+  /// Validates, then answers a cache hit in place or enqueues; only the
+  /// enqueue blocks while the queue is full.  A hit ignores the query's
+  /// control (it is instant).  Throws grb::IndexOutOfBounds (bad source)
+  /// or grb::InvalidValue (bad or pool-unsafe algorithm, server shutting
+  /// down, cached source or not) without issuing a ticket; a lookup or
+  /// copy that throws finishes its ticket kFailed instead.  A refused
+  /// submit counts nothing, unless shutdown began while it waited on a
+  /// full queue: then its cache miss is already counted.
   Ticket submit(const Query& query);
 
   /// Blocks until `ticket`'s result is ready and redeems it.  Unknown or
@@ -167,10 +180,22 @@ class SsspServer {
   void start_workers();
   void worker_loop();
   sssp::QueryResult run_query(const Query& query, grb::Context& ctx);
+  /// The hit's result (kFailed if the lookup or copy threw); nullopt on a
+  /// miss.  Called with no lock held.
+  std::optional<sssp::QueryResult> serve_from_cache(Index source,
+                                                    sssp::Algorithm algorithm);
+  CacheKey cache_key(Index source, sssp::Algorithm algorithm) const;
+  bool uses_cache(const Query& query) const;
+  /// Counts `result` by status and files it for wait(); mu_ held.
+  void finish_locked(Ticket ticket, sssp::QueryResult result);
 
   std::shared_ptr<const GraphPlan> plan_;
   ServerOptions options_;
   sssp::Algorithm default_algorithm_ = sssp::Algorithm::kFused;
+  // The cache key's per-server prefix, read once at construction so no
+  // query takes the plan's lazy-slot mutex.
+  std::uint64_t fingerprint_ = 0;
+  double delta_ = 0.0;
   ResultCache cache_;
 
   mutable testing::AuditedMutex mu_{"SsspServer::mu"};
@@ -178,7 +203,7 @@ class SsspServer {
   testing::AuditedConditionVariable not_empty_;  // queue has work/stopping
   testing::AuditedConditionVariable done_;       // a result landed
   std::deque<Item> queue_;
-  std::unordered_set<Ticket> outstanding_;  // issued, not yet finished
+  std::unordered_set<Ticket> outstanding_;  // queued or solving
   std::unordered_map<Ticket, sssp::QueryResult> finished_;  // awaiting wait()
   Ticket next_ticket_ = 1;
   bool stopping_ = false;

@@ -149,7 +149,8 @@ std::span<const char* const> fault_point_catalog() {
       "capi/object_new",         // C-API object creation entry points
       "serving/plan_load",       // PlanIo::load, before reading the file
       "serving/pool_enqueue",    // SsspServer::submit, before queueing (key = source)
-      "serving/worker_query",    // worker picks up a query (key = source)
+      "serving/cache_hit",       // submit's cache hit, before the copy (key = source)
+      "serving/worker_query",    // worker picks up a miss (key = source)
       "serving/cache_insert",    // result-cache insert of a kComplete result
   };
   return {kCatalog, sizeof(kCatalog) / sizeof(kCatalog[0])};

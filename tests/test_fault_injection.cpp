@@ -325,13 +325,15 @@ TEST(FaultSweep, ServingCacheInsertFailureIsBestEffort) {
 
 // --- Catalog honesty. --------------------------------------------------------
 
-/// Touches every serving-layer fault point: a served query (pool_enqueue,
-/// worker_query, cache_insert) and a plan-file load (plan_load).
+/// Touches every serving-layer fault point: a solved query (pool_enqueue,
+/// worker_query, cache_insert), its repeat answered from the cache
+/// (cache_hit) and a plan-file load (plan_load).
 void run_serving_workload() {
   dsg::serving::ServerOptions options;
   options.num_workers = 1;
   dsg::serving::SsspServer server(dsg::test::diamond_graph().to_matrix(),
                                   options);
+  ASSERT_TRUE(server.wait(server.submit(0)).ok());
   ASSERT_TRUE(server.wait(server.submit(0)).ok());
   const std::string path = ::testing::TempDir() + "dsg_catalog.plan";
   server.plan().save(path);

@@ -1,8 +1,10 @@
 // test_serving.cpp — the SsspServer pool under concurrency: mixed-source
 // traffic from many client threads checked against a Dijkstra oracle
-// (cache on and off), cancellation and deadlines mid-stream, one poisoned
-// query failing alone, ticket discipline, auto-algorithm selection, and
-// the DsgServer_* C surface.
+// (cache on and off), cache hits answered inside submit() (a saturated
+// pool, a poisoned hit, shutdown, a cancelled control, bypass_cache),
+// cancellation and deadlines mid-stream, one poisoned query failing alone,
+// ticket discipline, auto-algorithm selection, and the DsgServer_* C
+// surface.
 //
 // Assertion discipline: client threads run inside run_concurrent_stress
 // (test_support.hpp), where gtest macros are not safe — bodies throw on
@@ -11,8 +13,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <condition_variable>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -191,6 +196,184 @@ TEST(Serving, BypassCacheSkipsLookupAndInsert) {
   EXPECT_EQ(stats.cache.hits, 0u);
   EXPECT_EQ(stats.cache.misses, 0u);
   EXPECT_EQ(stats.cache.entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Cache hits answered inside submit(): no worker, no queue slot.
+// ---------------------------------------------------------------------------
+
+/// Holds every worker that reaches `serving/worker_query` with `key` until
+/// release().  The callback shares its state, so a worker still leaving
+/// it never touches a destroyed parking.
+class WorkerParking {
+ public:
+  explicit WorkerParking(Index key) : state_(std::make_shared<State>()) {
+    testing::FaultSpec spec;
+    spec.point = "serving/worker_query";
+    spec.with_key = static_cast<std::int64_t>(key);
+    spec.action = testing::FaultSpec::Action::kCallback;
+    spec.callback = [state = state_] {
+      std::unique_lock<std::mutex> lock(state->mu);
+      ++state->parked;
+      state->cv.notify_all();
+      state->cv.wait(lock, [&] { return state->released; });
+    };
+    testing::install_faults(1, {spec});
+  }
+  ~WorkerParking() {
+    release();
+    testing::clear_faults();
+  }
+  WorkerParking(const WorkerParking&) = delete;
+  WorkerParking& operator=(const WorkerParking&) = delete;
+
+  void wait_parked(int workers) {
+    std::unique_lock<std::mutex> lock(state_->mu);
+    state_->cv.wait(lock, [&] { return state_->parked >= workers; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->released = true;
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    int parked = 0;
+    bool released = false;
+  };
+  std::shared_ptr<State> state_;
+};
+
+TEST(ServingHits, HitCompletesWhileThePoolIsSaturated) {
+  constexpr Index kHot = 5;
+  constexpr Index kParked = 9;
+  ServerOptions options;
+  options.num_workers = 2;
+  options.queue_capacity = 2;
+  SsspServer server(stress_graph(), options);
+  const sssp::QueryResult miss = server.wait(server.submit(kHot));
+  ASSERT_TRUE(miss.ok()) << miss.error;
+
+  std::vector<SsspServer::Ticket> parked;
+  sssp::QueryResult hit;
+  {
+    WorkerParking parking(kParked);
+    // Both workers park on kParked; two more fill the queue, so a miss
+    // would now block in submit.
+    parked.push_back(server.submit(kParked));
+    parked.push_back(server.submit(kParked));
+    parking.wait_parked(2);
+    parked.push_back(server.submit(kParked));
+    parked.push_back(server.submit(kParked));
+
+    auto submitted = std::async(std::launch::async,
+                                [&] { return server.submit(kHot); });
+    const bool returned = submitted.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    EXPECT_TRUE(returned) << "a cached source blocked on the full queue";
+    if (returned) hit = server.wait(submitted.get());
+    parking.release();
+    if (!returned) hit = server.wait(submitted.get());
+  }
+  ASSERT_TRUE(hit.ok()) << hit.error;
+  EXPECT_EQ(hit.result.status, SsspStatus::kComplete);
+  ASSERT_EQ(hit.result.dist.size(), miss.result.dist.size());
+  EXPECT_EQ(std::memcmp(hit.result.dist.data(), miss.result.dist.data(),
+                        miss.result.dist.size() * sizeof(double)),
+            0);
+  for (const SsspServer::Ticket ticket : parked) {
+    EXPECT_TRUE(server.wait(ticket).ok());
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 6u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, stats.submitted);
+}
+
+TEST(ServingHits, PoisonedHitFailsAloneAndTheNextHitIsClean) {
+  constexpr Index kPoisoned = 5;
+  constexpr Index kHealthy = 6;
+  ServerOptions options;
+  options.num_workers = 1;
+  SsspServer server(stress_graph(), options);
+  const sssp::QueryResult first = server.wait(server.submit(kPoisoned));
+  ASSERT_TRUE(first.ok()) << first.error;
+  ASSERT_TRUE(server.wait(server.submit(kHealthy)).ok());
+  {
+    testing::FaultSpec poison;
+    poison.point = "serving/cache_hit";
+    poison.with_key = static_cast<std::int64_t>(kPoisoned);
+    testing::ScopedFaults faults(1, {poison});
+    SsspServer::Ticket poisoned = 0;
+    SsspServer::Ticket healthy = 0;
+    ASSERT_NO_THROW(poisoned = server.submit(kPoisoned));
+    ASSERT_NO_THROW(healthy = server.submit(kHealthy));
+    const sssp::QueryResult r = server.wait(poisoned);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.result.status, SsspStatus::kFailed);
+    EXPECT_TRUE(r.result.dist.empty());
+    ASSERT_NE(r.exception, nullptr);
+    EXPECT_THROW(std::rethrow_exception(r.exception), std::bad_alloc);
+    EXPECT_TRUE(server.wait(healthy).ok());
+  }
+  const sssp::QueryResult again = server.wait(server.submit(kPoisoned));
+  ASSERT_TRUE(again.ok()) << again.error;
+  ASSERT_EQ(again.result.dist.size(), first.result.dist.size());
+  EXPECT_EQ(std::memcmp(again.result.dist.data(), first.result.dist.data(),
+                        first.result.dist.size() * sizeof(double)),
+            0);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_EQ(stats.cache.hits, 3u);
+  EXPECT_EQ(stats.cache.misses, 2u);
+}
+
+TEST(ServingHits, CachedSourceAfterShutdownThrows) {
+  SsspServer server(test::diamond_graph().to_matrix());
+  ASSERT_TRUE(server.wait(server.submit(0)).ok());
+  server.shutdown();
+  EXPECT_THROW(server.submit(0), grb::InvalidValue);
+  // The refused submit issued no ticket and counted no lookup.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+}
+
+TEST(ServingHits, HitUnderCancelledControlIsComplete) {
+  SsspServer server(test::diamond_graph().to_matrix());
+  ASSERT_TRUE(server.wait(server.submit(0)).ok());
+  QueryControl control;
+  control.request_cancel();
+  // A hit is instant, so the control never gets a chance to fire.
+  const sssp::QueryResult r = server.wait(server.submit(0, control));
+  ASSERT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.result.status, SsspStatus::kComplete);
+  test::expect_distances(r.result.dist, test::diamond_distances_from_0(),
+                         "hit under a cancelled control");
+  EXPECT_EQ(server.stats().cancelled, 0u);
+}
+
+TEST(ServingHits, BypassCacheStillReachesAWorker) {
+  ServerOptions options;
+  options.num_workers = 1;
+  SsspServer server(test::diamond_graph().to_matrix(), options);
+  ASSERT_TRUE(server.wait(server.submit(0)).ok());  // 0 is now cached
+  testing::ScopedFaults faults(1, {});              // count hits only
+  SsspServer::Query query;
+  query.source = 0;
+  query.bypass_cache = true;
+  const sssp::QueryResult r = server.wait(server.submit(query));
+  ASSERT_TRUE(r.ok()) << r.error;
+  test::expect_distances(r.result.dist, test::diamond_distances_from_0(),
+                         "bypass");
+  EXPECT_EQ(testing::fault_point_hits("serving/worker_query"), 1u);
+  EXPECT_EQ(testing::fault_point_hits("serving/cache_hit"), 0u);
+  EXPECT_EQ(server.stats().cache.hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
