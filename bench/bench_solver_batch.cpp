@@ -12,7 +12,9 @@
 //   3. serving closed loop on the same graph: fixed client concurrency
 //      driving an SsspServer (pool + LRU result cache), half the traffic
 //      drawn from a small hot source set, one leg with the cache on and
-//      one with it off — qps and client-observed p50/p99 latency.
+//      one with it off, run as 7 pairs that alternate which leg goes
+//      first — qps and client-observed p50/p99 latency per leg, and the
+//      on/off qps ratio per pair.
 //
 // With --check the amortization and serving numbers become gates (used by
 // the CI Release bench smoke):
@@ -21,7 +23,10 @@
 //   - 64 one-shot solvers >= 1.5x solve_batch(64) (plan + workspace
 //     amortization pays), and
 //   - serving cache-on qps >= 1.5x cache-off qps at >= 50% repeated
-//     sources (the result cache pays under realistic skewed traffic).
+//     sources (the result cache pays under realistic skewed traffic),
+//     read as the median of the pair ratios: one leg is ~10 ms, too short
+//     for a single ratio to rate the cache; and every cache-on leg must
+//     see the traffic's minimum cache hits.
 //
 // Flags: --quick / --graphs N, --json, --algo NAME (default fused),
 //        --delta D (default 1.0, suite graphs are unit-weight), --check.
@@ -223,12 +228,14 @@ int main(int argc, char** argv) {
   // queries in flight), 32 queries per client against the shared rmat-13
   // plan.  Every even-indexed query draws from an 8-source hot set, so
   // >= 50% of traffic repeats a recent source — the skew a routing service
-  // actually sees.  Two legs, identical traffic: cache on vs cache off.
-  double serving_qps_on = 0.0;
-  double serving_qps_off = 0.0;
-  std::uint64_t serving_hits_on = 0;
+  // actually sees.  Two legs, identical traffic: cache on vs cache off,
+  // run as kPairs pairs with the first leg alternating, so drift on a
+  // shared host lands on both sides.
+  double serving_median_ratio = 0.0;
+  std::uint64_t serving_hits_on = 0;  // fewest hits of any cache-on leg
   std::uint64_t serving_min_hits = 0;
   {
+    constexpr int kPairs = 7;
     constexpr int kClients = 4;
     constexpr std::size_t kQueriesPerClient = 32;
     constexpr std::size_t kQueries = kClients * kQueriesPerClient;
@@ -257,7 +264,6 @@ int main(int argc, char** argv) {
       double p50_ms = 0.0;
       double p99_ms = 0.0;
       serving::ServerStats stats;
-      std::string algorithm;
     };
     const auto run_leg = [&](std::size_t cache_capacity) -> LegResult {
       serving::ServerOptions opt;
@@ -333,35 +339,55 @@ int main(int argc, char** argv) {
       leg.p50_ms = pct(0.50);
       leg.p99_ms = pct(0.99);
       leg.stats = server.stats();
-      leg.algorithm = sssp::algorithm_info(server.default_algorithm()).name;
       return leg;
     };
 
-    const LegResult on = run_leg(256);
-    const LegResult off = run_leg(0);
-    serving_qps_on = on.qps;
-    serving_qps_off = off.qps;
-    serving_hits_on = on.stats.cache.hits;
     // Hot half minus its first pass, minus slack for concurrent duplicate
     // misses (two in-flight misses on one source both count as misses).
     serving_min_hits = kQueries / 2 - kHotSources - 8;
+    serving_hits_on = kQueries;
 
+    // The core SsspServer's default (auto) picks for this plan.
+    const std::string algorithm =
+        sssp::algorithm_info(sssp::auto_algorithm(*serving_plan)).name;
     TableReporter serving_table(
         "serving",
         "SOLVER-BATCH serving: " + big.name + " closed loop, " +
             std::to_string(kClients) + " clients x " +
             std::to_string(kQueriesPerClient) + " queries, 2 workers, algo=" +
-            on.algorithm + " (auto), hot set " + std::to_string(kHotSources));
-    serving_table.set_header({"leg", "queries", "total_ms", "qps", "p50_ms",
-                              "p99_ms", "cache_hits", "cache_misses"});
-    serving_table.add_row({"cache_on", kQueries, on.total_ms, on.qps,
-                           on.p50_ms, on.p99_ms, on.stats.cache.hits,
-                           on.stats.cache.misses});
-    serving_table.add_row({"cache_off", kQueries, off.total_ms, off.qps,
-                           off.p50_ms, off.p99_ms, off.stats.cache.hits,
-                           off.stats.cache.misses});
-    serving_table.add_footer(
-        "gate: cache_on qps >= 1.5x cache_off at >= 50% repeated sources");
+            algorithm + " (auto), hot set " + std::to_string(kHotSources) +
+            ", " + std::to_string(kPairs) + " on/off pairs");
+    serving_table.set_header({"pair", "leg", "first", "queries", "total_ms",
+                              "qps", "p50_ms", "p99_ms", "cache_hits",
+                              "cache_misses", "on_over_off"});
+    std::vector<double> ratios;
+    for (int pair = 0; pair < kPairs; ++pair) {
+      const bool on_first = pair % 2 == 0;
+      LegResult on, off;
+      if (on_first) {
+        on = run_leg(256);
+        off = run_leg(0);
+      } else {
+        off = run_leg(0);
+        on = run_leg(256);
+      }
+      const double ratio = off.qps > 0.0 ? on.qps / off.qps : 0.0;
+      ratios.push_back(ratio);
+      serving_hits_on = std::min(serving_hits_on, on.stats.cache.hits);
+      for (const auto* leg : {&on, &off}) {
+        const bool is_on = leg == &on;
+        serving_table.add_row({pair, is_on ? "cache_on" : "cache_off",
+                               is_on == on_first, kQueries, leg->total_ms,
+                               leg->qps, leg->p50_ms, leg->p99_ms,
+                               leg->stats.cache.hits, leg->stats.cache.misses,
+                               ratio});
+      }
+    }
+    std::sort(ratios.begin(), ratios.end());
+    serving_median_ratio = ratios[ratios.size() / 2];
+    serving_table.add_footer("median on/off qps ratio = " +
+                             format_double(serving_median_ratio, 2) +
+                             "x; gate: median >= 1.5x");
     bench::emit(serving_table, args);
   }
 
@@ -378,17 +404,15 @@ int main(int argc, char** argv) {
                 << "x of solve_batch(64) (" << batch_ms << " ms); need 1.5x\n";
       ok = false;
     }
-    const double cache_speedup =
-        serving_qps_off > 0.0 ? serving_qps_on / serving_qps_off : 0.0;
-    if (!(cache_speedup >= 1.5)) {
-      std::cerr << "GATE FAILED: serving cache-on qps (" << serving_qps_on
-                << ") is only " << cache_speedup << "x of cache-off ("
-                << serving_qps_off << "); need 1.5x\n";
+    if (!(serving_median_ratio >= 1.5)) {
+      std::cerr << "GATE FAILED: serving cache-on qps is only "
+                << serving_median_ratio
+                << "x of cache-off in the median pair; need 1.5x\n";
       ok = false;
     }
     // Traffic honesty: the hot half must actually hit the cache.
     if (serving_hits_on < serving_min_hits) {
-      std::cerr << "GATE FAILED: serving cache-on leg saw only "
+      std::cerr << "GATE FAILED: a serving cache-on leg saw only "
                 << serving_hits_on
                 << " cache hits; the 50%-repeated-source traffic shape "
                    "expects >= "
@@ -400,8 +424,8 @@ int main(int argc, char** argv) {
     std::cerr << "gate passed: one-shot/batch = "
               << format_double(one_shot_speedup, 2)
               << "x, batch/warm = " << format_double(warm_ratio, 2)
-              << "x, serving cache-on/off = "
-              << format_double(cache_speedup, 2) << "x\n";
+              << "x, serving cache-on/off (median pair) = "
+              << format_double(serving_median_ratio, 2) << "x\n";
   }
   return 0;
 }

@@ -69,8 +69,11 @@
 #                  Vector density auto-switching on vs off (record only).
 #   serving        bench_solver_batch: closed-loop traffic through
 #                  SsspServer on rmat-13, cache on vs off, half the queries
-#                  from a hot source set (--check gate: cache-on qps >=
-#                  1.5x cache-off, and the cache-on leg's minimum hits).
+#                  from a hot source set; one row per leg of 7 on/off pairs
+#                  (`first` marks the leg that ran first, alternating),
+#                  on_over_off = the pair's qps ratio (--check gate: the
+#                  median pair ratio >= 1.5x, and every cache-on leg's
+#                  minimum hits).
 #
 # The spmspv gates hold at its default size only (n = 1<<20; the --quick
 # run is smaller); the bit-identity checks hold at every size.

@@ -21,10 +21,11 @@ Five machine-checked rules that clang-tidy cannot express (they encode
       OpenMP -- '#pragma omp', '#include <omp.h>' and omp_*() calls -- is
       only legal in the allowlist:
           src/sssp/delta_stepping_fused.cpp (the one tasked Δ-stepping body)
-          src/sssp/solver.cpp               (solve_batch's source fan-out)
           src/sssp/plan.cpp                 (resolve_num_threads)
-      The grb:: substrate is serial, and every other core takes its team
-      size from resolve_num_threads.  Extending the allowlist means editing
+      The grb:: substrate is serial, every other core takes its team size
+      from resolve_num_threads, and the solver runs sources one at a time
+      (serving::SsspServer's pool is the only source-level parallelism).
+      Extending the allowlist means editing
       ALLOWED_OPENMP here, in the same review.
 
   capi-guard
@@ -93,7 +94,6 @@ ATOMIC_TOKENS = re.compile(
 # Files (relative to the lint root) where OpenMP is legal.
 ALLOWED_OPENMP = {
     "sssp/delta_stepping_fused.cpp",
-    "sssp/solver.cpp",
     "sssp/plan.cpp",
 }
 
@@ -445,6 +445,7 @@ def self_test(fixtures: Path) -> int:
         ("graphblas/rogue_counter.cpp", "atomics-confinement"),
         ("graphblas/rogue_pragma.hpp", "openmp-confinement"),
         ("sssp/rogue_team.cpp", "openmp-confinement"),
+        ("sssp/solver.cpp", "openmp-confinement"),
         ("capi/unguarded_api.cpp", "capi-guard"),
         ("graphblas/leaky_header.hpp", "header-hygiene"),
         ("serving/raw_lock.cpp", "lock-discipline"),

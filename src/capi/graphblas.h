@@ -266,9 +266,8 @@ GrB_Info DsgSolver_solve(DsgSolver solver, GrB_Index source, double* dist);
 
 /* Batched queries: dist must have capacity for batch * n doubles; query k
  * writes dist[k*n .. k*n + n).  Results are element-identical to calling
- * DsgSolver_solve per source in order (duplicate sources allowed).
- * Internally-serial algorithms fan out across OpenMP threads when the
- * library was built with OpenMP. */
+ * DsgSolver_solve per source in order (duplicate sources allowed), as the
+ * queries run in order; DsgServer_* below runs queries concurrently. */
 GrB_Info DsgSolver_solve_batch(DsgSolver solver, const GrB_Index* sources,
                                GrB_Index batch, double* dist);
 

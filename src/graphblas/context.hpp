@@ -180,10 +180,10 @@ class Context {
   /// Master switch for automatic representation management.
   bool auto_representation = true;
   /// Density at/above which a sparse vector is promoted to dense.
-  double dense_promote_density = 0.5;
+  static constexpr double dense_promote_density = 0.5;
   /// Density at/below which a dense vector is demoted to sparse.  Must be
   /// strictly below dense_promote_density for the hysteresis band to exist.
-  double dense_demote_density = 0.25;
+  static constexpr double dense_demote_density = 0.25;
 
   /// Estimated *output* density below which select/apply over a dense input
   /// compact straight into the sparse form instead of staging a dense

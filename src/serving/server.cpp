@@ -27,18 +27,10 @@ void require_pool_safe(sssp::Algorithm algorithm) {
   }
 }
 
+using sssp::failed_result;
+
 grb::InvalidValue shutting_down() {
   return grb::InvalidValue("SsspServer::submit: server is shutting down");
-}
-
-/// The kFailed result carrying the exception being handled; call only
-/// from inside a catch block.
-sssp::QueryResult failed_result(const char* what) {
-  sssp::QueryResult out;
-  out.exception = std::current_exception();
-  out.result.status = SsspStatus::kFailed;
-  out.error = what;
-  return out;
 }
 
 }  // namespace

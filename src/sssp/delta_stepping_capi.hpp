@@ -21,8 +21,7 @@ namespace dsg {
 /// Runs the Fig. 2 listing against the plan.  The listing's
 /// operator/descriptor/matrix setup (lines 2-21) is built once and parked
 /// in the plan; each call replays only the loop (lines 23-73).  Not
-/// thread-safe: the listing's operator state is global, as in the paper,
-/// so the solver never batches this variant across threads.
+/// thread-safe: the listing's operator state is global, as in the paper.
 /// `exec.profile` is ignored — the listing has no instrumentation hooks.
 SsspResult delta_stepping_capi(const GraphPlan& plan, grb::Context& ctx,
                                Index source, const ExecOptions& exec = {});

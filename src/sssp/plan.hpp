@@ -19,7 +19,7 @@
 //     matrix handles) are materialized lazily through a mutex-guarded
 //     type-keyed cache, so a plan only ever pays for what the chosen
 //     algorithm touches.  After materialization all accessors are const
-//     reads, safe to share across the threads of a batched solve.
+//     reads, safe to share across a server's worker threads.
 //
 // A plan owns its matrix: move a Matrix in, or share a shared_ptr.
 #pragma once

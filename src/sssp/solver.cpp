@@ -21,36 +21,29 @@ namespace dsg::sssp {
 
 namespace {
 
-// The registry, in enum order.  Fields: {id, name, batch_parallel,
-// deterministic, threaded, run}.  batch_parallel notes:
-//   - capi carries the listing's global operator state (delta/i_global);
-//   - openmp and the async variant parallelize internally — nesting a
-//     source-level fan-out on top would oversubscribe.
+// The registry, in enum order: {id, name, deterministic, threaded, run}.
 // deterministic notes: the async variant returns bit-identical *distances*
 // for any schedule, but its stats counters are schedule-dependent (see
 // AlgorithmInfo::deterministic).
 constexpr AlgorithmInfo kRegistry[] = {
-    {Algorithm::kBuckets, "buckets", true, true, false,
-     &delta_stepping_buckets},
-    {Algorithm::kGraphblas, "graphblas", true, true, false,
+    {Algorithm::kBuckets, "buckets", true, false, &delta_stepping_buckets},
+    {Algorithm::kGraphblas, "graphblas", true, false,
      &delta_stepping_graphblas},
-    {Algorithm::kGraphblasSelect, "graphblas_select", true, true, false,
+    {Algorithm::kGraphblasSelect, "graphblas_select", true, false,
      &delta_stepping_graphblas_select},
-    {Algorithm::kCapi, "capi", false, true, false, &delta_stepping_capi},
-    {Algorithm::kFused, "fused", true, true, false, &delta_stepping_fused},
-    {Algorithm::kOpenmp, "openmp", false, true, true,
-     &delta_stepping_openmp},
-    {Algorithm::kBellmanFord, "bellman_ford", true, true, false,
-     &bellman_ford},
-    {Algorithm::kDijkstra, "dijkstra", true, true, false, &dijkstra},
-    {Algorithm::kDeltaSteppingAsync, "delta_stepping_async", false, false,
-     true, &delta_stepping_async},
+    {Algorithm::kCapi, "capi", true, false, &delta_stepping_capi},
+    {Algorithm::kFused, "fused", true, false, &delta_stepping_fused},
+    {Algorithm::kOpenmp, "openmp", true, true, &delta_stepping_openmp},
+    {Algorithm::kBellmanFord, "bellman_ford", true, false, &bellman_ford},
+    {Algorithm::kDijkstra, "dijkstra", true, false, &dijkstra},
+    {Algorithm::kDeltaSteppingAsync, "delta_stepping_async", false, true,
+     &delta_stepping_async},
 };
 
 }  // namespace
 
-// Touches the plan state the algorithm will need, so that batched
-// execution hits only const reads (the lazy materialization is mutex
+// Touches the plan state the algorithm will need, so that every solve
+// hits only const reads (the lazy materialization is mutex
 // guarded anyway; this just front-loads the cost to construction, where
 // the plan/execute contract says it belongs).
 void warm_plan(const GraphPlan& plan, Algorithm algorithm) {
@@ -215,18 +208,20 @@ SsspSolver::SsspSolver(std::shared_ptr<const grb::Matrix<double>> graph,
   warm_plan(plan_, options_.algorithm);
 }
 
+SsspResult SsspSolver::run(Index source, const QueryControl* control) {
+  ExecOptions exec = options_.exec;
+  if (control) exec.control = control;
+  return algorithm_info(options_.algorithm).run(plan_, ctx_, source, exec);
+}
+
 SsspResult SsspSolver::solve(Index source) {
-  const AlgorithmInfo& info = algorithm_info(options_.algorithm);
   testing::fault_point("solver/solve");
-  return info.run(plan_, ctx_, source, options_.exec);
+  return run(source, nullptr);
 }
 
 SsspResult SsspSolver::solve(Index source, const QueryControl& control) {
-  const AlgorithmInfo& info = algorithm_info(options_.algorithm);
   testing::fault_point("solver/solve");
-  ExecOptions exec = options_.exec;
-  exec.control = &control;
-  return info.run(plan_, ctx_, source, exec);
+  return run(source, &control);
 }
 
 std::vector<SsspResult> SsspSolver::solve_batch(
@@ -249,57 +244,20 @@ std::vector<SsspResult> SsspSolver::solve_batch(
 
 std::vector<QueryResult> SsspSolver::solve_batch(
     std::span<const Index> sources, const BatchOptions& batch) {
-  const AlgorithmInfo& info = algorithm_info(options_.algorithm);
-  ExecOptions exec = options_.exec;
-  if (batch.control) exec.control = batch.control;
+  // A throw fails only its own slot; the fault point is keyed by source.
   std::vector<QueryResult> results(sources.size());
-
-  // Per-query body: every exception stays inside its own slot.  The fault
-  // point is keyed by source so tests can poison one specific query
-  // regardless of OpenMP scheduling.
-  auto run_one = [&](std::size_t k, grb::Context& query_ctx) {
-    QueryResult& out = results[k];
+  for (std::size_t k = 0; k < sources.size(); ++k) {
     try {
       const Index s = sources[k];
       grb::detail::check_index(s, plan_.num_vertices(), "solve_batch: source");
       testing::fault_point("solver/batch_query", s);
-      out.result = info.run(plan_, query_ctx, s, exec);
+      results[k].result = run(s, batch.control);
     } catch (const std::exception& e) {
-      out.exception = std::current_exception();
-      out.result = SsspResult{};
-      out.result.status = SsspStatus::kFailed;
-      out.error = e.what();
+      results[k] = failed_result(e.what());
     } catch (...) {
-      out.exception = std::current_exception();
-      out.result = SsspResult{};
-      out.result.status = SsspStatus::kFailed;
-      out.error = "unknown error";
-    }
-  };
-
-#if defined(DSG_HAVE_OPENMP)
-  if (info.batch_parallel && sources.size() > 1 &&
-      resolve_num_threads(0) > 1) {
-    // Source-level fan-out.  Each thread executes on its own thread-local
-    // Context, so workspaces never cross threads; every solve is an
-    // independent deterministic run, so results match the serial loop
-    // bit-for-bit.  Exceptions cannot cross the region: run_one contains
-    // each inside its query's slot.
-    const int threads = resolve_num_threads(options_.exec.num_threads);
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-    for (std::int64_t k = 0;
-         k < static_cast<std::int64_t>(sources.size()); ++k) {
-      run_one(static_cast<std::size_t>(k), grb::default_context());
-    }
-  } else
-#endif
-  {
-    // Serial round-robin over the solver's own warm workspace.
-    for (std::size_t k = 0; k < sources.size(); ++k) {
-      run_one(k, ctx_);
+      results[k] = failed_result("unknown error");
     }
   }
-
   return results;
 }
 

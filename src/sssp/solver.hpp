@@ -8,9 +8,7 @@
 //                   chosen algorithm needs, own a grb::Context;
 //   solve()       = execute: run the chosen algorithm against the plan
 //                   with warm-reused workspaces;
-//   solve_batch() = execute many: round-robin over the shared workspace,
-//                   OpenMP across sources for the internally-serial
-//                   variants;
+//   solve_batch() = execute many: the same query body per source, in order;
 //   solve_with_paths() = execute + recover the shortest-path tree.
 //
 // Algorithm choice is data, not code: the Algorithm enum + registry map
@@ -19,8 +17,8 @@
 // signature (const GraphPlan&, grb::Context&, Index, const ExecOptions&).
 //
 // A solver is single-owner: not copyable, not thread-safe for concurrent
-// solve() calls on the same instance (it owns one Context).  solve_batch
-// parallelizes internally and is safe to call from one thread.
+// calls on the same instance (it owns one Context); concurrent queries
+// are serving::SsspServer's job.
 #pragma once
 
 #include <exception>
@@ -55,9 +53,6 @@ enum class Algorithm {
 struct AlgorithmInfo {
   Algorithm id;
   const char* name;  ///< stable string id, e.g. "fused", "graphblas_select"
-  /// True when independent solves may run on different threads (the
-  /// variant is internally serial and free of global state).
-  bool batch_parallel;
   /// True when repeated runs are bit-identical end to end, SsspStats
   /// included.  The async variant is value-deterministic (distances are
   /// the unique fp fixed point, identical for any schedule or thread
@@ -140,8 +135,7 @@ struct SolverOptions {
   /// plan's degree statistics, a non-finite one throws grb::InvalidValue.
   /// Ignored by kBellmanFord / kDijkstra.
   double delta = kAutoDelta;
-  /// Per-solve options handed to every run.  exec.num_threads also caps
-  /// the source-level fan-out of solve_batch; a control passed to solve()
+  /// Per-solve options handed to every run; a control passed to solve()
   /// or through BatchOptions overrides exec.control.
   ExecOptions exec{};
 };
@@ -167,6 +161,16 @@ struct QueryResult {
   std::exception_ptr exception;
   bool ok() const { return error.empty(); }
 };
+
+/// The kFailed QueryResult carrying the exception being handled; call only
+/// from inside a catch block.
+inline QueryResult failed_result(const char* what) {
+  QueryResult out;
+  out.exception = std::current_exception();
+  out.result.status = SsspStatus::kFailed;
+  out.error = what;
+  return out;
+}
 
 /// Options for the failure-isolated batch entry point.
 struct BatchOptions {
@@ -212,8 +216,8 @@ class SsspSolver {
 
   /// Many queries against the shared plan.  Results are element-identical
   /// to calling solve() per source in order (duplicate sources included —
-  /// warm-workspace reuse leaks no state between queries).  Internally
-  /// serial variants fan out across OpenMP threads when available.
+  /// warm-workspace reuse leaks no state between queries), run in order on
+  /// this solver's Context; serving::SsspServer runs queries concurrently.
   /// Every source is validated before any query runs; after the batch,
   /// the first query failure (lowest source index) rethrows and discards
   /// it (the legacy contract).  Use the BatchOptions overload for
@@ -230,6 +234,9 @@ class SsspSolver {
   SsspPathResult solve_with_paths(Index source);
 
  private:
+  /// The one query body: the core on ctx_, under `control` if non-null.
+  SsspResult run(Index source, const QueryControl* control);
+
   GraphPlan plan_;
   SolverOptions options_;
   grb::Context ctx_;

@@ -351,8 +351,6 @@ TEST(Representation, SwapDenseStorageInvalidatesStaleMirror) {
 
 TEST(Representation, HysteresisAtTheSwitchThresholds) {
   grb::Context ctx;
-  ctx.dense_promote_density = 0.5;
-  ctx.dense_demote_density = 0.25;
 
   grb::Vector<double> v(100);
   for (Index i = 0; i < 49; ++i) v.set_element(i, 1.0);

@@ -8,7 +8,8 @@
 //      Dijkstra oracle;
 //   2. solve_batch is element-identical to a per-source solve() loop,
 //      including repeated and duplicate sources (warm-workspace reuse must
-//      not leak state between queries);
+//      not leak state between queries), and runs on the solver's own
+//      Context;
 //   3. the unreachable-vertex convention (exactly +inf, never absent) holds
 //      across every algorithm on a disconnected graph;
 //   4. plan validation (graph shape, weights, a finite Δ) fails
@@ -19,6 +20,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "capi/graphblas.h"
@@ -161,6 +163,32 @@ TEST(SsspSolver, BatchIdenticalToPerSourceLoopAllAlgorithms) {
       }
     }
   }
+}
+
+// solve_batch runs every query on the solver's own warm Context, never on
+// a thread's grb::default_context(): the calling thread's default Context
+// sees no write phase.
+TEST(SsspSolver, BatchRunsOnTheSolversOwnContext) {
+  SolverOptions options;
+  options.algorithm = Algorithm::kGraphblas;
+  options.delta = 0.8;
+  SsspSolver solver(weighted_test_graph(), options);
+  const std::vector<Index> sources = {0, 17, 3, 399, 101, 250, 42, 7};
+
+  // Precondition: one solve on a fresh Context runs a dense write phase, so
+  // a query solved on a thread's default Context would show in its count.
+  grb::Context fresh;
+  const auto& graphblas = sssp::algorithm_info(Algorithm::kGraphblas);
+  (void)graphblas.run(solver.plan(), fresh, sources[0], options.exec);
+  ASSERT_GT(fresh.dense_writes, 0u) << "the graph never goes dense";
+
+  std::size_t thread_dense_writes = 0;
+  std::thread caller([&] {
+    EXPECT_EQ(solver.solve_batch(sources).size(), sources.size());
+    thread_dense_writes = grb::default_context().dense_writes;
+  });
+  caller.join();
+  EXPECT_EQ(thread_dense_writes, 0u);
 }
 
 TEST(SsspSolver, BatchValidatesSourcesUpFront) {

@@ -89,7 +89,6 @@ TEST(AsyncRegistry, VariantsRegisteredWithHonestFlags) {
   EXPECT_STREQ(da.name, "delta_stepping_async");
   EXPECT_FALSE(da.deterministic);  // schedule-dependent stats
   EXPECT_TRUE(da.threaded);
-  EXPECT_FALSE(da.batch_parallel);  // spawns its own threads
 
   EXPECT_EQ(sssp::find_algorithm("delta_stepping_async"), &da);
 
